@@ -248,32 +248,6 @@ func BenchmarkAblationTraditionalVsAnalytical(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationDFSvsMaterialized compares the linear-space depth-first
-// postlude (§2.4) with the literal materialised BCAT of Algorithms 1+3.
-func BenchmarkAblationDFSvsMaterialized(b *testing.B) {
-	rng := rand.New(rand.NewSource(23))
-	tr, err := tracegen.Sized(rng, 20000, 500)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := trace.Strip(tr)
-	m := core.BuildMRCT(s)
-	b.Run("dfs", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Explore(context.Background(), core.Prelude{Stripped: s, MRCT: m}, core.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("materialized", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Explore(context.Background(), core.Prelude{Stripped: s, MRCT: m}, core.Options{Engine: core.EngineBCAT}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkAblationMRCTBuild isolates the prelude phase: hash/LRU-stack
 // conflict table construction (with global deduplication) across workload
 // shapes.
@@ -333,14 +307,14 @@ func BenchmarkSuiteTraceGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationParallelExplore measures the shared-memory parallel
-// postlude (§2.4's distributed-sets observation) against the sequential
-// DFS. Workers clamp to GOMAXPROCS, so on a single-core host every series
-// collapses onto the sequential DFS and the numbers coincide — by design:
-// oversubscribing a small host with queue and merge overhead produced
-// negative scaling, never speedup. Genuine scaling needs multiple CPUs;
-// correctness (bit-identical results) is enforced by the core package's
-// property tests under -race.
+// BenchmarkAblationParallelExplore measures the parallel postlude (§2.4's
+// distributed-sets observation: workers walk the same DFS over contiguous
+// identifier slices) against the one-slice walk. Workers clamp to
+// GOMAXPROCS, so on a single-core host every series collapses onto the
+// one-slice walk and the numbers coincide — by design: extra workers on a
+// saturated host only repeat the tree walk. Genuine scaling needs multiple
+// CPUs; correctness (bit-identical results) is enforced by the core
+// package's property tests under -race.
 func BenchmarkAblationParallelExplore(b *testing.B) {
 	rng := rand.New(rand.NewSource(37))
 	tr, err := tracegen.Sized(rng, 40000, 1000)

@@ -263,8 +263,8 @@ func (s *Set) ForEach(fn func(i int) bool) {
 
 // ForEachRange calls fn for every element e with lo <= e < hi in ascending
 // order. Iteration stops if fn returns false. Bounds outside [0, Cap()] are
-// clamped. The parallel postlude uses it to carve one large row set into
-// independently accumulable chunks without copying the set.
+// clamped. The postlude uses it to restrict each worker to its slice of
+// the identifiers without copying the row set.
 func (s *Set) ForEachRange(lo, hi int, fn func(i int) bool) {
 	if lo < 0 {
 		lo = 0

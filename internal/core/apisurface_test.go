@@ -58,6 +58,50 @@ func TestAPISurfaceOneExploreEntryPoint(t *testing.T) {
 	}
 }
 
+// TestAPISurfaceOnePostlude locks in the single LRU postlude: the engine
+// switch (Options.Engine, the Engine type and its constants) and its
+// serial-engine error were removed when the depth-first walk became the
+// only postlude, with Options.Workers as its one knob. Reintroducing any
+// of them fails here.
+func TestAPISurfaceOnePostlude(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	removed := map[string]bool{
+		"Engine": true, "EngineAuto": true, "EngineDFS": true, "EngineBCAT": true, "ErrEngineSerial": true,
+	}
+	for _, file := range pkgs["core"].Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				if removed[n.Name.Name] {
+					t.Errorf("type %s is back", n.Name.Name)
+				}
+				if st, ok := n.Type.(*ast.StructType); ok && n.Name.Name == "Options" {
+					for _, f := range st.Fields.List {
+						for _, name := range f.Names {
+							if removed[name.Name] {
+								t.Errorf("Options.%s is back", name.Name)
+							}
+						}
+					}
+				}
+			case *ast.ValueSpec:
+				for _, name := range n.Names {
+					if removed[name.Name] {
+						t.Errorf("%s is back", name.Name)
+					}
+				}
+			}
+			return true
+		})
+	}
+}
+
 func isDeprecated(doc *ast.CommentGroup) bool {
 	if doc == nil {
 		return false

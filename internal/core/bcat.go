@@ -33,18 +33,10 @@ type BCAT struct {
 // BuildBCAT constructs the tree of Algorithm 1 from a stripped trace.
 // levels limits the tree to the given number of index bits; levels <= 0
 // uses the trace's significant address bits. The tree is caller-owned and
-// stays valid indefinitely; the engine's internal path goes through
-// buildBCATAlloc with a pooled set allocator instead.
+// stays valid indefinitely. Explore never materialises it — its postlude
+// walks the same row sets depth-first — so BuildBCAT serves inspection
+// (Figure 3) and the tests' literal Algorithm 3 reference.
 func BuildBCAT(s *trace.Stripped, levels int) *BCAT {
-	return buildBCATAlloc(s, levels, bitset.New)
-}
-
-// buildBCATAlloc is BuildBCAT with the bit-vector allocator injected:
-// every set in the tree — the zero/one planes included — comes from
-// newSet, so a freelist-backed allocator recycles the whole table across
-// explorations. The tree then lives only as long as the allocator's
-// storage does.
-func buildBCATAlloc(s *trace.Stripped, levels int, newSet func(n int) *bitset.Set) *BCAT {
 	if levels <= 0 {
 		levels = s.AddrBits()
 	}
@@ -53,37 +45,37 @@ func buildBCATAlloc(s *trace.Stripped, levels int, newSet func(n int) *bitset.Se
 		// Degenerate: with fewer than two unique references every row set
 		// is trivially conflict-free; the tree has nothing to say.
 		if levels > 0 && s.NUnique() >= 1 {
-			zo := s.ZeroOneSetsAlloc(1, newSet)
+			zo := s.ZeroOneSets(1)
 			t.Root = &BCATNode{Zero: zo[0].Zero, One: zo[0].One}
 		}
 		return t
 	}
-	zo := s.ZeroOneSetsAlloc(levels, newSet)
+	zo := s.ZeroOneSets(levels)
 	t.Root = &BCATNode{Zero: zo[0].Zero, One: zo[0].One}
-	buildTree(t.Root, 1, zo, newSet)
+	buildTree(t.Root, 1, zo)
 	return t
 }
 
 // buildTree is the recursive body of Algorithm 1: split each child set of
 // cardinality >= 2 on the next index bit.
-func buildTree(n *BCATNode, l int, zo []trace.ZeroOne, newSet func(n int) *bitset.Set) {
+func buildTree(n *BCATNode, l int, zo []trace.ZeroOne) {
 	if l >= len(zo) {
 		return
 	}
 	nu := n.Zero.Cap()
 	if n.Zero.Count() >= 2 {
-		left := &BCATNode{Zero: newSet(nu), One: newSet(nu)}
+		left := &BCATNode{Zero: bitset.New(nu), One: bitset.New(nu)}
 		left.Zero.And(n.Zero, zo[l].Zero)
 		left.One.And(n.Zero, zo[l].One)
 		n.Left = left
-		buildTree(left, l+1, zo, newSet)
+		buildTree(left, l+1, zo)
 	}
 	if n.One.Count() >= 2 {
-		right := &BCATNode{Zero: newSet(nu), One: newSet(nu)}
+		right := &BCATNode{Zero: bitset.New(nu), One: bitset.New(nu)}
 		right.Zero.And(n.One, zo[l].Zero)
 		right.One.And(n.One, zo[l].One)
 		n.Right = right
-		buildTree(right, l+1, zo, newSet)
+		buildTree(right, l+1, zo)
 	}
 }
 

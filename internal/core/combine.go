@@ -42,3 +42,15 @@ func Combine(results ...*Result) (*Result, error) {
 	finalize(out)
 	return out, nil
 }
+
+// mergeHist adds src into dst.Hist, growing as needed.
+func mergeHist(dst *LevelResult, src []int) {
+	if len(src) > len(dst.Hist) {
+		grown := make([]int, len(src))
+		copy(grown, dst.Hist)
+		dst.Hist = grown
+	}
+	for d, c := range src {
+		dst.Hist[d] += c
+	}
+}

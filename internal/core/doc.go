@@ -22,9 +22,12 @@
 // per level therefore yields the miss count of every associativity at every
 // depth in one traversal, from which the minimal A per (depth, K) follows.
 //
-// Explore is the production entry point and uses the depth-first combined
-// formulation of §2.4: BCAT nodes are never materialised beyond the current
-// root-to-leaf path, so space stays linear in the trace. BuildBCAT and
-// Options.Engine = EngineBCAT keep the explicit tree of Algorithms 1 and 3
-// available for inspection, teaching and cross-validation.
+// Explore is the production entry point and its postlude is the
+// depth-first combined formulation of §2.4: BCAT nodes are never
+// materialised beyond the current root-to-leaf path, so space stays linear
+// in the trace. Options.Workers runs that one walk over contiguous slices
+// of the unique-reference identifiers in parallel and adds up the
+// histograms. BuildBCAT keeps the explicit tree of Algorithm 1 available
+// for inspection (Figure 3) and as the tests' literal Algorithm 3
+// reference.
 package core

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"sync"
 	"time"
 
 	"github.com/example/cachedse/internal/bitset"
@@ -33,19 +34,13 @@ type Options struct {
 	// explores up to 2^AddrBits, where every unique reference has its own
 	// row.
 	MaxDepth int
-	// Workers sets the postlude parallelism: 0 or 1 runs the serial
-	// depth-first postlude, n > 1 fans the postlude out over n
-	// work-stealing workers, and any negative value uses GOMAXPROCS.
+	// Workers sets the postlude parallelism: 0 or 1 runs one depth-first
+	// walk, n > 1 splits the unique-reference identifiers into up to n
+	// slices walked concurrently, and any negative value uses GOMAXPROCS.
 	// Requests beyond GOMAXPROCS are clamped to it — extra workers on a
-	// saturated machine only add queue and merge overhead (the negative
-	// scaling BENCH_core.json's parallel ablation used to record).
+	// saturated machine only repeat the tree walk and add merge overhead.
 	// Results are bit-identical at every setting.
 	Workers int
-	// Engine selects the postlude formulation. EngineAuto (the zero
-	// value) picks the linear-space DFS; EngineBCAT materialises the full
-	// Binary Cache Allocation Tree first (the paper's literal Algorithm 3,
-	// kept for cross-checking — it is serial and rejects Workers > 1).
-	Engine Engine
 	// SampleRate switches the engine into SHARDS-style approximate mode:
 	// spatially hash-sample references at this rate, explore the sampled
 	// trace and rescale the miss counts back to full-trace magnitude with
@@ -72,32 +67,6 @@ type Options struct {
 	// DefaultMaxAssoc. Ignored for LRU, whose histogram covers every
 	// associativity at once.
 	MaxAssoc int
-}
-
-// Engine names a postlude formulation.
-type Engine int
-
-const (
-	// EngineAuto lets Explore choose; today it resolves to EngineDFS.
-	EngineAuto Engine = iota
-	// EngineDFS is the depth-first, linear-space postlude (§2.4).
-	EngineDFS
-	// EngineBCAT materialises the Binary Cache Allocation Tree and walks
-	// it level by level — the paper's literal Algorithm 3.
-	EngineBCAT
-)
-
-// String names the engine for logs and errors.
-func (e Engine) String() string {
-	switch e {
-	case EngineAuto:
-		return "auto"
-	case EngineDFS:
-		return "dfs"
-	case EngineBCAT:
-		return "bcat"
-	}
-	return fmt.Sprintf("engine(%d)", int(e))
 }
 
 // workerCount resolves Options.Workers: 0 and 1 are serial, negative is
@@ -280,9 +249,9 @@ func (r *Result) ParetoSet(k int) []Instance {
 //	trace.RefReader  — streaming: the prelude consumes the reference
 //	                   stream without materialising a *trace.Trace
 //
-// Options.Workers picks serial vs work-stealing parallel postlude and
-// Options.Engine the formulation; results are bit-identical across all
-// combinations (TestCrossCheckEnginesBitIdentical pins this).
+// Options.Workers sets how many identifier slices the postlude walks in
+// parallel; results are bit-identical at every setting
+// (TestCrossCheckEnginesBitIdentical pins this).
 func Explore(ctx context.Context, src Source, opts Options) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -302,37 +271,110 @@ func Explore(ctx context.Context, src Source, opts Options) (*Result, error) {
 	return runPostlude(ctx, s, m, opts, sc)
 }
 
-// runPostlude dispatches the resolved (stripped, MRCT) pair to the
-// configured postlude engine, drawing working memory from sc (nil gets a
-// private throwaway scratch). Both the exact and the sampled path funnel
-// through here, so engine selection and the postlude failpoint behave
-// identically in both modes.
+// runPostlude runs the postlude (§2.3, Algorithm 3) over the resolved
+// (stripped, MRCT) pair in its depth-first, linear-space form (§2.4): the
+// BCAT is never materialised; each walk carries only the current
+// root-to-leaf path of row sets, folding every level's |S ∩ C| histogram
+// on the way down.
+//
+// Options.Workers splits the unique-reference identifiers into contiguous
+// slices of about equal occurrence mass (partitionIDs). Every worker walks
+// the same tree over the shared zero/one planes, with its own per-level
+// (left, right) pairs, but folds only its slice's occurrences — into the
+// Result's histograms for the first slice and into private ones for the
+// rest, which merge by addition. The Result is therefore bit-identical at
+// every worker count, and Workers <= 1 is the one-slice case of the same
+// walk. Working memory comes from sc (nil gets a private throwaway
+// scratch). Both the exact and the sampled path funnel through here, so
+// the postlude failpoint behaves identically in both modes.
 func runPostlude(ctx context.Context, s *trace.Stripped, m *MRCT, opts Options, sc *Scratch) (*Result, error) {
 	if err := faultinject.Hit("core.postlude"); err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if sc == nil {
 		sc = &Scratch{}
 	}
-	workers := opts.workerCount()
-	switch opts.Engine {
-	case EngineAuto, EngineDFS:
-		if workers > 1 {
-			return exploreParallel(ctx, s, m, opts, workers, sc)
-		}
-		return exploreDFS(ctx, s, m, opts, sc)
-	case EngineBCAT:
-		// Reject on the requested worker count, not the resolved one:
-		// GOMAXPROCS clamping must not make Workers=8 mean something
-		// different on a one-core host than on an eight-core one.
-		if opts.Workers > 1 || workers > 1 {
-			return nil, fmt.Errorf("core: the %s engine rejects Workers = %d: %w", opts.Engine, opts.Workers, ErrEngineSerial)
-		}
-		sc.resetSets()
-		return exploreBCAT(ctx, s, buildBCATAlloc(s, 0, sc.newSet), m, opts, sc)
-	default:
-		return nil, fmt.Errorf("core: unknown engine %s", opts.Engine)
+	levels, err := levelCount(s, opts)
+	if err != nil {
+		return nil, err
 	}
+	_, span := obs.StartSpan(ctx, "postlude")
+	r := newResult(s, m, levels)
+	nu := s.NUnique()
+	if nu == 0 {
+		finalize(r)
+		endPostludeSpan(span, 1, r, nil, nil)
+		return r, nil
+	}
+	sc.resetSets()
+	zo := s.ZeroOneSetsAlloc(levels, sc.newSet)
+	root := sc.newSet(nu)
+	for id := 0; id < nu; id++ {
+		root.Add(id)
+	}
+	sc.bounds = partitionIDs(m, nu, opts.workerCount(), sc.bounds)
+	workers := sc.dfsWorkers(len(sc.bounds) - 1)
+	for i, w := range workers {
+		w.start(ctx, zo, m, levels, sc.bounds[i], sc.bounds[i+1], span != nil)
+		if i == 0 {
+			// The first slice folds straight into the Result; the others
+			// fold into private histograms merged after every walk ends.
+			for _, lr := range r.Levels {
+				w.hist = append(w.hist, lr.Hist)
+			}
+		} else {
+			w.privateHists(levels+1, m.maxCard+1)
+		}
+	}
+	if len(workers) == 1 {
+		workers[0].walk(root, 0)
+	} else {
+		var wg sync.WaitGroup
+		for _, w := range workers[1:] {
+			wg.Add(1)
+			go func(w *dfsWorker) {
+				defer wg.Done()
+				w.walk(root, 0)
+			}(w)
+		}
+		workers[0].walk(root, 0)
+		wg.Wait()
+	}
+	for _, w := range workers {
+		if w.chk.err != nil {
+			err = w.chk.err
+		}
+	}
+	if err == nil {
+		for _, w := range workers[1:] {
+			for l, lr := range r.Levels {
+				for d, c := range w.hist[l] {
+					lr.Hist[d] += c
+				}
+			}
+		}
+		finalize(r)
+		if span != nil {
+			// Every worker walks the same rows, so the first one's counts
+			// stand for the tree; level time is summed work across workers.
+			for _, w := range workers[1:] {
+				for l, ns := range w.ns {
+					workers[0].ns[l] += ns
+				}
+			}
+			endPostludeSpan(span, len(workers), r, workers[0].rows, workers[0].ns)
+		}
+	}
+	for _, w := range workers {
+		w.finish()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
 // stripWithSpan wraps the prelude's strip pass in a "strip" span when
@@ -376,87 +418,131 @@ func (c *ctxCheck) stop() bool {
 	return c.err != nil
 }
 
-// exploreDFS runs the postlude in its depth-first, linear-space form
-// (§2.4): the BCAT is never materialised; the recursion carries only the
-// current root-to-leaf path of row sets, accumulating every level's
-// distance histogram on the way down. The DFS checks ctx every few row
-// sets. All row sets and zero/one planes come from sc's freelist: only
-// one (left, right) pair per level is ever live, so the whole walk reuses
-// O(levels) pooled sets and allocates nothing once the scratch is warm.
-func exploreDFS(ctx context.Context, s *trace.Stripped, m *MRCT, opts Options, sc *Scratch) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
+// partitionIDs splits the identifier range [0, nu) into at most workers
+// contiguous slices of about equal occurrence mass (the Σ count of each
+// identifier's MRCT runs), cutting only at 64-identifier word boundaries:
+// each cut goes at the boundary nearest its target, and never ahead of an
+// empty remainder. It returns the bounds in buf's storage: slice i is
+// [b[i], b[i+1]). The range yields fewer slices than workers when it has
+// fewer words, or when one word carries the mass of several slices; a
+// single worker needs no mass pass at all.
+func partitionIDs(m *MRCT, nu, workers int, buf []int) []int {
+	bounds := append(buf[:0], 0)
+	if workers > 1 && nu > 64 {
+		total := m.Occurrences()
+		next, mass := 1, 0 // the next cut targets next/workers of total
+		for lo := 0; lo < nu; lo += 64 {
+			word := 0
+			for _, os := range m.occ[lo:min(lo+64, nu)] {
+				for _, o := range os {
+					word += int(o.count)
+				}
+			}
+			// Cut ahead of this word when the target lies before its middle.
+			reached := func() bool { return next < workers && (2*mass+word)*workers >= 2*next*total }
+			if lo > 0 && mass < total && reached() {
+				bounds = append(bounds, lo)
+				for reached() {
+					next++
+				}
+			}
+			mass += word
+		}
 	}
-	if sc == nil {
-		sc = &Scratch{}
-	}
-	levels, err := levelCount(s, opts)
-	if err != nil {
-		return nil, err
-	}
-	_, span := obs.StartSpan(ctx, "postlude")
-	r := newResult(s, m, levels)
-	if s.NUnique() == 0 {
-		finalize(r)
-		endPostludeSpan(span, "dfs", r, nil, nil)
-		return r, nil
-	}
-	sc.resetSets()
-	zo := s.ZeroOneSetsAlloc(levels, sc.newSet)
-	lefts, rights := sc.dfsPairs(levels + 1)
+	return append(bounds, nu)
+}
 
-	root := sc.newSet(s.NUnique())
-	for id := 0; id < s.NUnique(); id++ {
-		root.Add(id)
+// dfsWorker is one slice's depth-first walk. The per-level (left, right)
+// pairs and the private histograms persist in the Scratch across
+// explorations; the run-scoped fields are set by start and dropped by
+// finish so a pooled worker pins neither a caller's MRCT nor a Result.
+type dfsWorker struct {
+	zo     []trace.ZeroOne
+	m      *MRCT
+	levels int
+	lo, hi int
+	chk    ctxCheck
+
+	// lefts/rights hold one child pair per level: when the walk returns
+	// to a level the previous children are dead, and And overwrites every
+	// word, so the pair is reused without clearing.
+	lefts, rights []*bitset.Set
+	hist          [][]int // per-level histograms, rows of flat or the Result's
+	flat          []int   // private histogram storage
+	rows          []int   // per-level row counts (traced runs only)
+	ns            []int64 // per-level accumulate nanoseconds (traced runs only)
+}
+
+// start readies w for one walk over the identifier slice [lo, hi), with
+// per-level counters only when traced. The histogram rows are left empty
+// for the caller to point at the Result or at privateHists.
+func (w *dfsWorker) start(ctx context.Context, zo []trace.ZeroOne, m *MRCT, levels, lo, hi int, traced bool) {
+	w.zo, w.m, w.levels, w.lo, w.hi = zo, m, levels, lo, hi
+	w.chk = ctxCheck{ctx: ctx, every: 64}
+	for len(w.lefts) < levels {
+		w.lefts = append(w.lefts, nil)
+		w.rights = append(w.rights, nil)
 	}
-	// Per-level row counts and accumulated nanoseconds, maintained only
-	// while a recorder is installed: the traced branch costs one
-	// time.Now pair per row set, the untraced branch a single nil check.
-	var lvlRows []int
-	var lvlNS []int64
-	if span != nil {
-		lvlRows = make([]int, levels+1)
-		lvlNS = make([]int64, levels+1)
+	w.hist = w.hist[:0]
+	w.rows, w.ns = nil, nil
+	if traced {
+		w.rows = make([]int, levels+1)
+		w.ns = make([]int64, levels+1)
 	}
-	chk := &ctxCheck{ctx: ctx, every: 64}
-	var visit func(set *bitset.Set, level int)
-	visit = func(set *bitset.Set, level int) {
-		if chk.stop() {
-			return
-		}
-		if span != nil {
-			t0 := time.Now()
-			accumulate(r.Levels[level], set, m)
-			lvlNS[level] += time.Since(t0).Nanoseconds()
-			lvlRows[level]++
-		} else {
-			accumulate(r.Levels[level], set, m)
-		}
-		if level >= levels || set.Count() < 2 {
-			// A row with fewer than two references can never conflict at
-			// this or any deeper depth (Algorithm 1's stop criterion).
-			return
-		}
-		// One (left, right) pair per level serves the whole walk: when the
-		// DFS returns to this level the previous children are dead, and
-		// And overwrites every word, so no clearing is needed either.
-		left, right := lefts[level], rights[level]
-		if left == nil {
-			left, right = sc.newSet(set.Cap()), sc.newSet(set.Cap())
-			lefts[level], rights[level] = left, right
-		}
-		left.And(set, zo[level].Zero)
-		right.And(set, zo[level].One)
-		visit(left, level+1)
-		visit(right, level+1)
+}
+
+// privateHists points w's histogram rows at its own zeroed storage.
+func (w *dfsWorker) privateHists(rows, width int) {
+	n := rows * width
+	if cap(w.flat) < n {
+		w.flat = make([]int, n)
 	}
-	visit(root, 0)
-	if chk.err != nil {
-		return nil, chk.err
+	w.flat = w.flat[:n]
+	clear(w.flat)
+	for l := 0; l < rows; l++ {
+		w.hist = append(w.hist, w.flat[l*width:(l+1)*width])
 	}
-	finalize(r)
-	endPostludeSpan(span, "dfs", r, lvlRows, lvlNS)
-	return r, nil
+}
+
+// finish drops w's references to the run's inputs and outputs.
+func (w *dfsWorker) finish() {
+	w.zo, w.m, w.chk = nil, nil, ctxCheck{}
+	clear(w.hist)
+}
+
+// walk folds the slice of set's occurrences into the level's histogram,
+// then splits set on the level's index bit and recurses. The stop rule
+// reads the whole row set, never the slice, so every worker walks the
+// same tree.
+func (w *dfsWorker) walk(set *bitset.Set, level int) {
+	if w.chk.stop() {
+		return
+	}
+	if w.ns != nil {
+		t0 := time.Now()
+		accumulateRangeHist(w.hist[level], set, w.m, w.lo, w.hi)
+		w.ns[level] += time.Since(t0).Nanoseconds()
+		w.rows[level]++
+	} else {
+		accumulateRangeHist(w.hist[level], set, w.m, w.lo, w.hi)
+	}
+	if level >= w.levels || set.Count() < 2 {
+		// A row with fewer than two references can never conflict at
+		// this or any deeper depth (Algorithm 1's stop criterion).
+		return
+	}
+	left, right := w.lefts[level], w.rights[level]
+	if left == nil {
+		left, right = bitset.New(set.Cap()), bitset.New(set.Cap())
+		w.lefts[level], w.rights[level] = left, right
+	} else if left.Cap() != set.Cap() {
+		left.Reset(set.Cap())
+		right.Reset(set.Cap())
+	}
+	left.And(set, w.zo[level].Zero)
+	right.And(set, w.zo[level].One)
+	w.walk(left, level+1)
+	w.walk(right, level+1)
 }
 
 // endPostludeSpan closes the postlude phase span: one aggregate child
@@ -465,7 +551,7 @@ func exploreDFS(ctx context.Context, s *trace.Stripped, m *MRCT, opts Options, s
 // the accumulated duration and refs/sec. Level spans are aggregates: the
 // DFS interleaves levels, so each child's duration is summed work, not a
 // contiguous wall-clock interval.
-func endPostludeSpan(span *obs.Span, algorithm string, r *Result, lvlRows []int, lvlNS []int64) {
+func endPostludeSpan(span *obs.Span, workers int, r *Result, lvlRows []int, lvlNS []int64) {
 	if span == nil {
 		return
 	}
@@ -494,52 +580,14 @@ func endPostludeSpan(span *obs.Span, algorithm string, r *Result, lvlRows []int,
 		}
 		span.Child("level", span.Start(), dur, attrs...)
 	}
-	span.SetAttr("algorithm", algorithm)
+	span.SetAttr("algorithm", "dfs")
+	span.SetAttr("workers", workers)
 	span.SetAttr("levels", len(r.Levels))
 	span.SetAttr("refs", totalRefs)
 	if lvlRows != nil {
 		span.SetAttr("rows", totalRows)
 	}
 	span.End()
-}
-
-// exploreBCAT runs Algorithm 3 over a materialised BCAT, the literal
-// formulation of the paper. It must produce exactly the same Result as
-// the DFS; that variant is preferred for its linear space.
-func exploreBCAT(ctx context.Context, s *trace.Stripped, t *BCAT, m *MRCT, opts Options, sc *Scratch) (*Result, error) {
-	if sc == nil {
-		sc = &Scratch{}
-	}
-	levels, err := levelCount(s, opts)
-	if err != nil {
-		return nil, err
-	}
-	if levels > t.Levels {
-		levels = t.Levels
-	}
-	r := newResult(s, m, levels)
-	if s.NUnique() > 0 {
-		// Depth 1: the single row holding every unique reference. The set
-		// comes from the same freelist the tree was built from — the
-		// cursor was reset before BuildBCAT, not here, so the tree's sets
-		// stay live.
-		root := sc.newSet(s.NUnique())
-		for id := 0; id < s.NUnique(); id++ {
-			root.Add(id)
-		}
-		accumulate(r.Levels[0], root, m)
-		chk := &ctxCheck{ctx: ctx, every: 64}
-		for l := 1; l <= levels; l++ {
-			for _, set := range t.LevelSets(l) {
-				if chk.stop() {
-					return nil, chk.err
-				}
-				accumulate(r.Levels[l], set, m)
-			}
-		}
-	}
-	finalize(r)
-	return r, nil
 }
 
 // newResult allocates a Result with one LevelResult per depth, every
@@ -560,25 +608,14 @@ func newLevelResult(level int, m *MRCT) *LevelResult {
 	return &LevelResult{Depth: 1 << uint(level), Hist: make([]int, m.maxCard+1)}
 }
 
-// accumulate folds one row set S into a level's histogram: for every
-// non-cold occurrence of every reference in S, bump Hist[|S ∩ C|] by the
-// occurrence's multiplicity.
-func accumulate(lr *LevelResult, set *bitset.Set, m *MRCT) {
-	accumulateRange(lr, set, m, 0, set.Cap())
-}
-
-// accumulateRange is accumulate restricted to the references in [lo, hi);
-// the conflict sets still intersect with the whole row set, so summing
-// disjoint ranges reproduces accumulate exactly. The intersection runs
-// through the hybrid kernel: packed word-wise AND+popcount for dense
-// conflict sets, the sparse element-probe kernel otherwise.
-func accumulateRange(lr *LevelResult, set *bitset.Set, m *MRCT, lo, hi int) {
-	accumulateRangeHist(lr.Hist, set, m, lo, hi)
-}
-
-// accumulateRangeHist is accumulateRange into a bare histogram slice (the
-// parallel workers' private histograms live in a flat pooled buffer, not
-// in LevelResults).
+// accumulateRangeHist folds the references of row set S whose
+// identifiers fall in [lo, hi) into a level's histogram: for every
+// non-cold occurrence of each such reference, bump hist[|S ∩ C|] by the
+// occurrence's multiplicity. The conflict sets still intersect with the
+// whole row set, so summing disjoint ranges reproduces the full fold
+// exactly. The intersection runs through the hybrid kernel: packed
+// word-wise AND+popcount for dense conflict sets, the sparse
+// element-probe kernel otherwise.
 func accumulateRangeHist(hist []int, set *bitset.Set, m *MRCT, lo, hi int) {
 	set.ForEachRange(lo, hi, func(e int) bool {
 		for _, o := range m.occ[e] {

@@ -19,8 +19,8 @@ func workersOpt(opts Options, workers int) Options {
 
 // raiseGOMAXPROCS lifts GOMAXPROCS to at least n for the duration of the
 // test. Options.Workers clamps to GOMAXPROCS, so on a small CI host a
-// test that wants the work-stealing path actually exercised (not the
-// serial fallback the clamp would pick) must raise the ceiling first.
+// test that wants the parallel walk actually exercised (not the one-slice
+// walk the clamp would pick) must raise the ceiling first.
 func raiseGOMAXPROCS(t *testing.T, n int) {
 	t.Helper()
 	prev := runtime.GOMAXPROCS(0)
@@ -71,7 +71,7 @@ func TestExploreParallelPaperExample(t *testing.T) {
 }
 
 func TestExploreParallelDegenerate(t *testing.T) {
-	// Empty and single-reference traces take the sequential path.
+	// Empty and single-reference traces take the one-slice walk.
 	for _, tr := range []*trace.Trace{
 		trace.New(0),
 		trace.FromAddrs(trace.DataRead, []uint32{7, 7, 7}),

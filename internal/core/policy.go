@@ -2,20 +2,11 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"github.com/example/cachedse/internal/onepass"
 	"github.com/example/cachedse/internal/trace"
 )
-
-// ErrEngineSerial reports an Options combination that asks a serial
-// engine for postlude parallelism: today only EngineBCAT, the paper's
-// literal Algorithm 3, which walks its materialised tree level by level
-// and has no parallel formulation. Explore returns it (wrapped) instead
-// of silently clamping Workers, so a caller that meant to parallelise
-// learns it picked the wrong engine; match with errors.Is.
-var ErrEngineSerial = errors.New("engine is serial")
 
 // explorePolicy is the non-LRU branch of Explore: an exact LRU
 // exploration first profiles every depth, the α-threshold (Bender et

@@ -12,12 +12,12 @@ import (
 // steady-state explore path used to make per request — the stripped form,
 // the MRCT build tables (dedup chains, epoch stamps, LRU positions,
 // conflict-set arenas, packed bit-vectors, occurrence storage), the
-// postlude's zero/one planes and row sets, and the parallel workers'
-// private histograms and queues — lives in a Scratch that a sync.Pool
-// recycles across explorations. A warm pool drives the data plane's
-// allocs/op to the Result envelope alone (BenchmarkSteadyStateAllocs and
-// the alloc-smoke CI gate pin this), which is what keeps GC pause time
-// out of the p99 under sustained load.
+// postlude's zero/one planes and root set, and each postlude worker's
+// per-level row sets and private histograms — lives in a Scratch that a
+// sync.Pool recycles across explorations. A warm pool drives the data
+// plane's allocs/op to the Result envelope alone
+// (BenchmarkSteadyStateAllocs and the alloc-smoke CI gate pin this),
+// which is what keeps GC pause time out of the p99 under sustained load.
 //
 // Ownership contract: everything a Scratch hands out (arena-backed
 // conflict sets, freelist bit-vectors, the pooled MRCT) is valid only
@@ -55,18 +55,15 @@ type Scratch struct {
 	i32       int32Arena       // sparse conflict-set storage
 	bs        bitset.Arena     // packed conflict-set storage
 
-	// Postlude freelist: row sets and zero/one planes, recycled via a
-	// cursor (resetSets) instead of being reallocated per engine run.
+	// Postlude freelist: the zero/one planes and the root set, recycled
+	// via a cursor (resetSets) instead of being reallocated per run.
 	sets      []*bitset.Set
 	setCursor int
-	dfsL      []*bitset.Set // per-level left/right children of the DFS —
-	dfsR      []*bitset.Set // one pair per level is live at a time
 
-	// Parallel postlude state.
-	histBuf []int         // flat per-worker private histograms
-	items   []workItem    // split output
-	queues  []*stealQueue // per-worker queues (pointers stable across runs)
-	qitems  [][]workItem  // per-queue item storage
+	// Postlude workers: the identifier-slice bounds and one pooled walk
+	// state per slice (pointers stable across runs).
+	bounds  []int
+	workers []*dfsWorker
 }
 
 // note records a trace dimension for pool classing.
@@ -95,30 +92,12 @@ func (sc *Scratch) newSet(n int) *bitset.Set {
 	return s
 }
 
-// dfsPairs returns the per-level (left, right) child-set slots for a DFS
-// over the given number of levels, entries nil until first use.
-func (sc *Scratch) dfsPairs(n int) (l, r []*bitset.Set) {
-	if cap(sc.dfsL) < n {
-		sc.dfsL = make([]*bitset.Set, n)
-		sc.dfsR = make([]*bitset.Set, n)
+// dfsWorkers returns n pooled postlude workers.
+func (sc *Scratch) dfsWorkers(n int) []*dfsWorker {
+	for len(sc.workers) < n {
+		sc.workers = append(sc.workers, &dfsWorker{})
 	}
-	l, r = sc.dfsL[:n], sc.dfsR[:n]
-	for i := range l {
-		l[i], r[i] = nil, nil
-	}
-	return l, r
-}
-
-// ints returns a zeroed int slice of length n backed by histBuf.
-func (sc *Scratch) ints(n int) []int {
-	if cap(sc.histBuf) < n {
-		sc.histBuf = make([]int, n)
-	}
-	sc.histBuf = sc.histBuf[:n]
-	for i := range sc.histBuf {
-		sc.histBuf[i] = 0
-	}
-	return sc.histBuf
+	return sc.workers[:n]
 }
 
 // int32Arena carves []int32 runs (sorted sparse conflict sets) out of

@@ -73,7 +73,7 @@ func TestAllocsSteadyStateExploreStream(t *testing.T) {
 }
 
 // Warm pooled runs must be bit-identical to the cold first run and to the
-// materialised-BCAT engine: reused arenas and freelists may never leak
+// materialised-BCAT reference: reused arenas and freelists may never leak
 // state between explorations.
 func TestPooledRunsBitIdentical(t *testing.T) {
 	tr := scratchTestTrace(13, 8000, 200)
@@ -90,12 +90,9 @@ func TestPooledRunsBitIdentical(t *testing.T) {
 			t.Fatalf("warm pooled run %d differs from cold run", run)
 		}
 	}
-	bcat, err := Explore(context.Background(), tr, Options{Engine: EngineBCAT})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resultsIdentical(cold, bcat) {
-		t.Fatal("pooled DFS differs from BCAT engine")
+	s := trace.Strip(tr)
+	if !resultsIdentical(cold, bcatReference(s, BuildMRCT(s))) {
+		t.Fatal("pooled DFS differs from the BCAT reference")
 	}
 	// Interleave a differently-shaped trace through the same pool, then
 	// re-run the original: a stale-arena read would surface here.

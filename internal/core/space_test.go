@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"testing"
 
@@ -195,24 +194,5 @@ func TestExplorePolicyMatchesProfileShape(t *testing.T) {
 	}
 	if _, err := Explore(ctx, tr, Options{Policy: Policy(9)}); err == nil {
 		t.Error("Explore accepted an invalid policy")
-	}
-}
-
-// TestEngineSerialTyped pins the BCAT contract: asking the serial engine
-// for workers fails with ErrEngineSerial, matchable through wrapping.
-func TestEngineSerialTyped(t *testing.T) {
-	tr := trace.New(0)
-	for i := 0; i < 64; i++ {
-		tr.Append(trace.Ref{Addr: uint32(i % 16), Kind: trace.DataRead})
-	}
-	_, err := Explore(context.Background(), tr, Options{Engine: EngineBCAT, Workers: 2})
-	if err == nil {
-		t.Fatal("BCAT with Workers=2 succeeded")
-	}
-	if !errors.Is(err, ErrEngineSerial) {
-		t.Errorf("error %v does not match ErrEngineSerial", err)
-	}
-	if _, err := Explore(context.Background(), tr, Options{Engine: EngineBCAT}); err != nil {
-		t.Errorf("serial BCAT failed: %v", err)
 	}
 }
