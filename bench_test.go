@@ -135,8 +135,9 @@ func benchOptimal(b *testing.B, stream experiments.Stream) {
 	}
 }
 
-// BenchmarkTable31 measures the analytical algorithm itself (strip + MRCT
-// + postlude) on every data trace — the quantity Table 31 reports.
+// BenchmarkTable31 measures the paper's analytical algorithm itself (strip
+// + MRCT + postlude, core.ExploreAnalytical) on every data trace — the
+// quantity Table 31 reports.
 func BenchmarkTable31(b *testing.B) {
 	benchRuntime(b, experiments.Data)
 }
@@ -154,7 +155,7 @@ func benchRuntime(b *testing.B, stream experiments.Stream) {
 		st := trace.ComputeStats(tr)
 		b.Run(ts.Name, func(b *testing.B) {
 			measureGC(b, func(int) {
-				if _, err := core.Explore(context.Background(), tr, core.Options{}); err != nil {
+				if _, err := core.ExploreAnalytical(context.Background(), tr, core.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			})
@@ -164,7 +165,7 @@ func benchRuntime(b *testing.B, stream experiments.Stream) {
 }
 
 // BenchmarkFigure4 sweeps synthetic traces across a grid of N*N' values
-// and measures the exploration, the quantity Figure 4 plots; the reported
+// and measures the paper engine's exploration, the quantity Figure 4 plots; the reported
 // ns/(N*N') metric being roughly constant across sub-benchmarks is the
 // figure's linearity claim.
 func BenchmarkFigure4(b *testing.B) {
@@ -181,7 +182,7 @@ func BenchmarkFigure4(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("N=%d/Nu=%d", g.n, g.unique), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Explore(context.Background(), tr, core.Options{}); err != nil {
+				if _, err := core.ExploreAnalytical(context.Background(), tr, core.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -215,7 +216,7 @@ func BenchmarkFigure4Fit(b *testing.B) {
 
 // BenchmarkAblationTraditionalVsAnalytical contrasts the Figure 1(a)
 // design-simulate-analyze loop with the Figure 1(b) analytical approach on
-// the same workload and budget.
+// the same workload and budget, the latter through both engines.
 func BenchmarkAblationTraditionalVsAnalytical(b *testing.B) {
 	rng := rand.New(rand.NewSource(17))
 	tr := tracegen.Mixed(
@@ -244,6 +245,16 @@ func BenchmarkAblationTraditionalVsAnalytical(b *testing.B) {
 			if _, err := dse.Analytical(tr, k, core.Options{MaxDepth: maxDepth}); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+	// The paper's own engine (strip + MRCT + postlude) on the same grid.
+	b.Run("analytical-paper", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			r, err := core.ExploreAnalytical(context.Background(), tr, core.Options{MaxDepth: maxDepth})
+			if err != nil {
+				b.Fatal(err)
+			}
+			_ = r.OptimalSet(k)
 		}
 	})
 }
@@ -288,11 +299,53 @@ func BenchmarkAblationOnePassVsAnalytical(b *testing.B) {
 	})
 	b.Run("analytical", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Explore(context.Background(), tr, core.Options{MaxDepth: maxDepth}); err != nil {
+			if _, err := core.ExploreAnalytical(context.Background(), tr, core.Options{MaxDepth: maxDepth}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
+}
+
+// BenchmarkAblationStackDistVsAnalytical prices the service engine
+// (core.Explore: strip + per-depth stack distance) against the paper's
+// (core.ExploreAnalytical: strip + MRCT + DFS postlude) on the four
+// heaviest PowerStone data traces and a 40k-reference, 1000-unique
+// synthetic trace. Both compute the same miss counts at every (D, A).
+func BenchmarkAblationStackDistVsAnalytical(b *testing.B) {
+	s := suite(b)
+	rng := rand.New(rand.NewSource(37))
+	synth, err := tracegen.Sized(rng, 40000, 1000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	workloads := []struct {
+		name string
+		tr   *trace.Trace
+	}{
+		{"compress", s.Get("compress").Data},
+		{"g3fax", s.Get("g3fax").Data},
+		{"fir", s.Get("fir").Data},
+		{"crc", s.Get("crc").Data},
+		{"sized-40000-1000", synth},
+	}
+	engines := []struct {
+		name    string
+		explore func(context.Context, core.Source, core.Options) (*core.Result, error)
+	}{
+		{"stackdist", core.Explore},
+		{"analytical", core.ExploreAnalytical},
+	}
+	for _, w := range workloads {
+		for _, e := range engines {
+			b.Run(w.name+"/"+e.name, func(b *testing.B) {
+				measureGC(b, func(int) {
+					if _, err := e.explore(context.Background(), w.tr, core.Options{}); err != nil {
+						b.Fatal(err)
+					}
+				})
+			})
+		}
+	}
 }
 
 // BenchmarkSuiteTraceGeneration measures running all 12 kernels on the VM
@@ -307,7 +360,8 @@ func BenchmarkSuiteTraceGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationParallelExplore measures the parallel postlude (§2.4's
+// BenchmarkAblationParallelExplore measures the paper engine's parallel
+// postlude (§2.4's
 // distributed-sets observation: workers walk the same DFS over contiguous
 // identifier slices) against the one-slice walk. Workers clamp to
 // GOMAXPROCS, so on a single-core host every series collapses onto the
@@ -326,7 +380,7 @@ func BenchmarkAblationParallelExplore(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			measureGC(b, func(int) {
-				if _, err := core.Explore(context.Background(), core.Prelude{Stripped: s, MRCT: m}, core.Options{Workers: workers}); err != nil {
+				if _, err := core.ExploreAnalytical(context.Background(), core.Prelude{Stripped: s, MRCT: m}, core.Options{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			})

@@ -241,7 +241,7 @@ func cmdExplore(args []string) error {
 	k := fs.Int("k", -1, "miss budget K (absolute)")
 	kpct := fs.Float64("kpct", -1, "miss budget as percent of max misses")
 	maxDepth := fs.Int("maxdepth", 0, "largest cache depth to explore (power of two)")
-	workers := fs.Int("workers", 1, "postlude worker count (0 = GOMAXPROCS, 1 = sequential)")
+	workers := fs.Int("workers", 1, "depths explored concurrently (0 = GOMAXPROCS, 1 = sequential)")
 	verify := fs.Bool("verify", false, "simulate each emitted instance")
 	sample := fs.Float64("sample", 0, "spatial sampling rate in (0, 1] for approximate exploration (0 = exact)")
 	sampleFloor := fs.Int("sample-floor", 0, "minimum expected sampled unique references (0 = default, negative = no floor)")

@@ -12,8 +12,8 @@ import (
 
 // TestExploreTraceJSON checks `explore -trace-json` writes a span tree
 // equivalent to a server job's: an "explore" root with the engine phases
-// (strip, mrct, postlude) as children and per-level aggregate spans below
-// the postlude.
+// (strip, postlude) as children, no conflict-table phase, and per-level
+// spans below the postlude.
 func TestExploreTraceJSON(t *testing.T) {
 	dir := t.TempDir()
 	tr := trace.New(0)
@@ -65,10 +65,13 @@ func TestExploreTraceJSON(t *testing.T) {
 	for _, c := range root.Children {
 		children[c.Name] = c
 	}
-	for _, want := range []string{"strip", "mrct", "postlude"} {
+	for _, want := range []string{"strip", "postlude"} {
 		if children[want] == nil {
 			t.Errorf("explore root missing %q child: %+v", want, root.Children)
 		}
+	}
+	if children["mrct"] != nil {
+		t.Errorf("exact explore built a conflict table: %+v", root.Children)
 	}
 	if post := children["postlude"]; post != nil {
 		if len(post.Children) == 0 {

@@ -16,10 +16,10 @@ import (
 )
 
 // cmdServe runs the exploration service: a long-lived HTTP daemon that
-// keeps uploaded traces (and their prelude structures) resident, answers
-// explore/simulate/verify queries through a bounded worker pool, and
-// memoizes exploration results. See the package server docs and the
-// README's "Running as a service" section for the API.
+// keeps uploaded traces resident, answers explore/simulate/verify
+// queries through a bounded worker pool, and memoizes exploration
+// results. See the package server docs and the README's "Running as a
+// service" section for the API.
 func cmdServe(args []string) error {
 	fs := newFlagSet("serve", "serve [-addr HOST:PORT] [flags]")
 	addr := fs.String("addr", "127.0.0.1:8344", "listen address")

@@ -11,11 +11,13 @@ import (
 )
 
 // TestAPISurfaceOneExploreEntryPoint parses the package source and
-// enforces the finalized v2 contract: exactly one exported Explore entry
-// point exists (core.Explore) and no Deprecated: Explore shims remain —
-// the PR-5 compatibility wrappers were deleted once every caller had
-// migrated to Explore(ctx, src, opts). This is the apidiff gate: adding a
-// second entry point, or reintroducing a shim, fails here before review.
+// enforces the finalized v2 contract: exactly two exported Explore entry
+// points exist — core.Explore, the service engine, and
+// core.ExploreAnalytical, the paper's engine kept for reproduction — and
+// no Deprecated: Explore shims remain; the old compatibility wrappers
+// were deleted once every caller had migrated to Explore(ctx, src, opts).
+// This is the apidiff gate: adding a third entry point, or reintroducing
+// a shim, fails here before review.
 func TestAPISurfaceOneExploreEntryPoint(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
@@ -50,8 +52,8 @@ func TestAPISurfaceOneExploreEntryPoint(t *testing.T) {
 	sort.Strings(live)
 	sort.Strings(deprecated)
 
-	if len(live) != 1 || live[0] != "Explore" {
-		t.Fatalf("non-deprecated Explore entry points = %v, want exactly [Explore]", live)
+	if len(live) != 2 || live[0] != "Explore" || live[1] != "ExploreAnalytical" {
+		t.Fatalf("non-deprecated Explore entry points = %v, want exactly [Explore ExploreAnalytical]", live)
 	}
 	if len(deprecated) != 0 {
 		t.Fatalf("Deprecated: Explore shims = %v, want none (the v2 surface has a single entry point; new options go on core.Options, not on new wrappers)", deprecated)

@@ -354,7 +354,7 @@ func TestExploreEmptyTrace(t *testing.T) {
 func TestExploreBCATMatchesDFS(t *testing.T) {
 	s := stripPaper()
 	m := BuildMRCT(s)
-	dfs, err := Explore(context.Background(), Prelude{Stripped: s, MRCT: m}, Options{})
+	dfs, err := ExploreAnalytical(context.Background(), Prelude{Stripped: s, MRCT: m}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

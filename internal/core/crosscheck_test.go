@@ -192,7 +192,7 @@ func TestQuickDFSMatchesBCAT(t *testing.T) {
 		tr := traceFromBytes(bs, 64)
 		s := trace.Strip(tr)
 		m := BuildMRCT(s)
-		dfs, err := Explore(context.Background(), Prelude{Stripped: s, MRCT: m}, Options{})
+		dfs, err := ExploreAnalytical(context.Background(), Prelude{Stripped: s, MRCT: m}, Options{})
 		if err != nil {
 			return false
 		}
@@ -246,11 +246,43 @@ func diffResults(a, b *Result) string {
 	return ""
 }
 
+// diffMissProfiles compares what the two engines promise to share: the
+// level structure, AZero and every histogram bucket d >= 1 (Explore's
+// Hist[0] is exact, ExploreAnalytical's omits pruned rows' hits). It
+// returns "" when they agree, else the first divergence.
+func diffMissProfiles(a, b *Result) string {
+	if a.N != b.N || a.NUnique != b.NUnique {
+		return fmt.Sprintf("stats differ: (N=%d,N'=%d) vs (N=%d,N'=%d)", a.N, a.NUnique, b.N, b.NUnique)
+	}
+	if len(a.Levels) != len(b.Levels) {
+		return fmt.Sprintf("level counts differ: %d vs %d", len(a.Levels), len(b.Levels))
+	}
+	bucket := func(h []int, d int) int {
+		if d < len(h) {
+			return h[d]
+		}
+		return 0
+	}
+	for i := range a.Levels {
+		la, lb := a.Levels[i], b.Levels[i]
+		if la.Depth != lb.Depth || la.AZero != lb.AZero {
+			return fmt.Sprintf("level %d: (D=%d, AZero=%d) vs (D=%d, AZero=%d)", i, la.Depth, la.AZero, lb.Depth, lb.AZero)
+		}
+		for d := 1; d < max(len(la.Hist), len(lb.Hist)); d++ {
+			if bucket(la.Hist, d) != bucket(lb.Hist, d) {
+				return fmt.Sprintf("depth %d: Hist[%d] = %d vs %d", la.Depth, d, bucket(la.Hist, d), bucket(lb.Hist, d))
+			}
+		}
+	}
+	return ""
+}
+
 // The postlude must stay bit-identical to the literal materialised-BCAT
 // Algorithm 3 at every worker count, over loop-, zipf-, and uniform-shaped
 // synthetic workloads with fixed seeds. This is the regression gate for
 // the hybrid conflict-set representation, the hash-deduped MRCT, and the
-// identifier-range partition of the parallel walk.
+// identifier-range partition of the parallel walk. Explore's
+// stack-distance engine must match it on every d >= 1 bucket and AZero.
 func TestCrossCheckEnginesBitIdentical(t *testing.T) {
 	raiseGOMAXPROCS(t, 8)
 	for _, seed := range []int64{1, 7, 4242} {
@@ -264,7 +296,7 @@ func TestCrossCheckEnginesBitIdentical(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
 				s := trace.Strip(tr)
 				m := BuildMRCT(s)
-				seq, err := Explore(context.Background(), Prelude{Stripped: s, MRCT: m}, Options{})
+				seq, err := ExploreAnalytical(context.Background(), Prelude{Stripped: s, MRCT: m}, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -272,7 +304,7 @@ func TestCrossCheckEnginesBitIdentical(t *testing.T) {
 					t.Fatalf("BCAT vs DFS: %s", d)
 				}
 				for _, workers := range []int{1, 2, 3, 4, 8} {
-					par, err := Explore(context.Background(), Prelude{Stripped: s, MRCT: m}, Options{Workers: workers})
+					par, err := ExploreAnalytical(context.Background(), Prelude{Stripped: s, MRCT: m}, Options{Workers: workers})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -286,8 +318,8 @@ func TestCrossCheckEnginesBitIdentical(t *testing.T) {
 					}
 				}
 
-				// The ctz1 pack/unpack cycle must be invisible to the
-				// engine: exploring the round-tripped trace, and
+				// The ctz1 pack/unpack cycle must be invisible to both
+				// engines: exploring the round-tripped trace, and
 				// streaming the packed bytes straight into the engine
 				// without materializing a *Trace, both reproduce the
 				// text path's Result bit for bit.
@@ -299,23 +331,36 @@ func TestCrossCheckEnginesBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				viaPacked, err := Explore(context.Background(), unpacked, Options{})
+				exact, err := Explore(context.Background(), tr, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if d := diffResults(seq, viaPacked); d != "" {
-					t.Fatalf("explore over unpack(pack(t)) vs direct: %s", d)
+				if d := diffMissProfiles(exact, seq); d != "" {
+					t.Fatalf("stack distance vs DFS: %s", d)
 				}
-				dec, err := trace.NewCTZ1Decoder(bytes.NewReader(packed.Bytes()), trace.Limits{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				streamed, err := Explore(context.Background(), dec, Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if d := diffResults(seq, streamed); d != "" {
-					t.Fatalf("streaming explore over ctz1 vs direct: %s", d)
+				for name, want := range map[string]*Result{"analytical": seq, "stackdist": exact} {
+					engine := ExploreAnalytical
+					if name == "stackdist" {
+						engine = Explore
+					}
+					viaPacked, err := engine(context.Background(), unpacked, Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if d := diffResults(want, viaPacked); d != "" {
+						t.Fatalf("%s explore over unpack(pack(t)) vs direct: %s", name, d)
+					}
+					dec, err := trace.NewCTZ1Decoder(bytes.NewReader(packed.Bytes()), trace.Limits{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					streamed, err := engine(context.Background(), dec, Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if d := diffResults(want, streamed); d != "" {
+						t.Fatalf("%s streaming explore over ctz1 vs direct: %s", name, d)
+					}
 				}
 			})
 		}
@@ -367,7 +412,7 @@ func TestCrossCheckPartitionEdgeCases(t *testing.T) {
 					t.Fatalf("bounds %v: cut %d not word-aligned and increasing", b, b[i])
 				}
 			}
-			one, err := Explore(context.Background(), Prelude{Stripped: s, MRCT: m}, Options{Workers: 1})
+			one, err := ExploreAnalytical(context.Background(), Prelude{Stripped: s, MRCT: m}, Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -378,7 +423,7 @@ func TestCrossCheckPartitionEdgeCases(t *testing.T) {
 				t.Fatal("DFS miss counts differ from the BCAT reference")
 			}
 			for _, w := range []int{2, 3, 4, workers} {
-				par, err := Explore(context.Background(), Prelude{Stripped: s, MRCT: m}, Options{Workers: w})
+				par, err := ExploreAnalytical(context.Background(), Prelude{Stripped: s, MRCT: m}, Options{Workers: w})
 				if err != nil {
 					t.Fatal(err)
 				}

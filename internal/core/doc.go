@@ -22,12 +22,20 @@
 // per level therefore yields the miss count of every associativity at every
 // depth in one traversal, from which the minimal A per (depth, K) follows.
 //
-// Explore is the production entry point and its postlude is the
-// depth-first combined formulation of §2.4: BCAT nodes are never
-// materialised beyond the current root-to-leaf path, so space stays linear
-// in the trace. Options.Workers runs that one walk over contiguous slices
-// of the unique-reference identifiers in parallel and adds up the
-// histograms. BuildBCAT keeps the explicit tree of Algorithm 1 available
-// for inspection (Figure 3) and as the tests' literal Algorithm 3
-// reference.
+// ExploreAnalytical runs that algorithm as the paper describes it, and
+// its postlude is the depth-first combined formulation of §2.4: BCAT
+// nodes are never materialised beyond the current root-to-leaf path, so
+// space stays linear in the trace. Options.Workers runs that one walk over
+// contiguous slices of the unique-reference identifiers in parallel and
+// adds up the histograms. BuildBCAT keeps the explicit tree of Algorithm 1
+// available for inspection (Figure 3) and as the tests' literal
+// Algorithm 3 reference. Tables 31/32 and Figure 4 time this engine.
+//
+// Explore, the production entry point, reaches the same histogram without
+// the conflict table: |S ∩ C| is the per-set LRU stack distance of
+// Mattson et al. (ref. [17]), so one move-to-front pass per depth over the
+// stripped trace yields every miss count and A_zero exactly, and an exact
+// Hist[0] besides (Σ Hist = N − N' at every depth). Options.Workers runs
+// the depths concurrently. Explore also hosts the sampled (SampleRate)
+// and non-LRU (Policy) modes.
 package core

@@ -34,12 +34,13 @@ type Options struct {
 	// explores up to 2^AddrBits, where every unique reference has its own
 	// row.
 	MaxDepth int
-	// Workers sets the postlude parallelism: 0 or 1 runs one depth-first
-	// walk, n > 1 splits the unique-reference identifiers into up to n
-	// slices walked concurrently, and any negative value uses GOMAXPROCS.
-	// Requests beyond GOMAXPROCS are clamped to it — extra workers on a
-	// saturated machine only repeat the tree walk and add merge overhead.
-	// Results are bit-identical at every setting.
+	// Workers sets the engine parallelism: 0 or 1 runs serially, n > 1
+	// runs up to n workers concurrently, and any negative value uses
+	// GOMAXPROCS. Requests beyond GOMAXPROCS are clamped to it. Explore's
+	// stack-distance engine hands each worker one depth at a time;
+	// ExploreAnalytical's DFS postlude splits the unique-reference
+	// identifiers into up to n slices walked concurrently. Results are
+	// bit-identical at every setting.
 	Workers int
 	// SampleRate switches the engine into SHARDS-style approximate mode:
 	// spatially hash-sample references at this rate, explore the sampled
@@ -90,13 +91,16 @@ type LevelResult struct {
 	// Depth is the cache depth (2^level).
 	Depth int
 	// Hist[d] counts non-cold occurrences whose conflict-set intersection
-	// with their row set has cardinality d. An occurrence with value d
-	// misses in every cache of this depth with associativity A <= d.
+	// with their row set has cardinality d — equivalently, whose per-set
+	// LRU stack distance is d. An occurrence with value d misses in every
+	// cache of this depth with associativity A <= d. Every non-cold
+	// occurrence lands in exactly one bucket, so Σ Hist = N − N' at every
+	// depth.
 	//
-	// Hist[0] may undercount guaranteed hits at deep levels: rows pruned
-	// by the stop criterion (|row| < 2) are never revisited, and their
-	// occurrences — always d = 0 — are omitted. Every d >= 1 bucket, and
-	// therefore every miss count, is exact.
+	// ExploreAnalytical's DFS postlude prunes rows that can no longer
+	// conflict (Algorithm 1's stop criterion), so its Hist[0] omits their
+	// guaranteed hits; its d >= 1 buckets, and therefore its miss counts,
+	// equal Explore's.
 	Hist []int
 	// AZero is the smallest associativity with zero non-cold misses at
 	// this depth (the paper's A_zero aggregated over the level's nodes).
@@ -237,21 +241,23 @@ func (r *Result) ParetoSet(k int) []Instance {
 	return out
 }
 
-// Explore is the one entry point of the analytical engine: it runs the
-// prelude (strip + conflict table) over src as needed and the postlude
-// selected by opts, returning the per-depth miss profile. Cancellation
-// flows from ctx into every phase.
+// Explore profiles every power-of-two depth of src for an exact LRU
+// cache, or for the replacement policy and sampling mode selected by
+// opts, returning the per-depth miss profile. Cancellation flows from ctx
+// into every phase.
 //
+// The exact LRU path strips the trace and runs the per-depth
+// stack-distance engine (runStackDist); no conflict table is built.
 // Source accepts three shapes:
 //
-//	*trace.Trace     — the full prelude runs over the in-memory trace
-//	Prelude          — pre-built strip + MRCT (reuse across budgets)
-//	trace.RefReader  — streaming: the prelude consumes the reference
+//	*trace.Trace     — stripped in memory
+//	Prelude          — its Stripped is used as is; its MRCT is ignored
+//	trace.RefReader  — streaming: the strip pass consumes the reference
 //	                   stream without materialising a *trace.Trace
 //
-// Options.Workers sets how many identifier slices the postlude walks in
-// parallel; results are bit-identical at every setting
-// (TestCrossCheckEnginesBitIdentical pins this).
+// Options.Workers runs that many depths concurrently; results are
+// bit-identical at every setting. ExploreAnalytical runs the paper's
+// engine over the same sources; its miss counts are identical.
 func Explore(ctx context.Context, src Source, opts Options) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -261,6 +267,29 @@ func Explore(ctx context.Context, src Source, opts Options) (*Result, error) {
 	}
 	if opts.SampleRate != 0 {
 		return exploreSampled(ctx, src, opts)
+	}
+	sc := sharedScratch.Get(scratchHint(src))
+	defer sharedScratch.Put(sc)
+	s, err := stripSource(ctx, src, sc)
+	if err != nil {
+		return nil, err
+	}
+	return runStackDist(ctx, s, opts, sc)
+}
+
+// ExploreAnalytical is the paper's engine, kept to reproduce its claims
+// (Tables 31/32 and Figure 4 time it): the prelude strips src and builds
+// the conflict table (§2.2, Algorithm 2) unless src is a complete
+// Prelude, and the depth-first postlude (§2.3–2.4, Algorithm 3) folds
+// every level's |S ∩ C| histogram. It serves exact LRU only: any Policy
+// or SampleRate is rejected. Its miss counts and AZero equal Explore's;
+// see LevelResult.Hist for its Hist[0].
+func ExploreAnalytical(ctx context.Context, src Source, opts Options) (*Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if opts.Policy != PolicyLRU || opts.SampleRate != 0 {
+		return nil, fmt.Errorf("core: ExploreAnalytical is exact LRU only (policy %s, sample rate %v)", opts.Policy, opts.SampleRate)
 	}
 	sc := sharedScratch.Get(scratchHint(src))
 	defer sharedScratch.Put(sc)
@@ -285,8 +314,8 @@ func Explore(ctx context.Context, src Source, opts Options) (*Result, error) {
 // rest, which merge by addition. The Result is therefore bit-identical at
 // every worker count, and Workers <= 1 is the one-slice case of the same
 // walk. Working memory comes from sc (nil gets a private throwaway
-// scratch). Both the exact and the sampled path funnel through here, so
-// the postlude failpoint behaves identically in both modes.
+// scratch). ExploreAnalytical and the sampled paths below rate 1 funnel
+// through here; like runStackDist it hits the core.postlude failpoint.
 func runPostlude(ctx context.Context, s *trace.Stripped, m *MRCT, opts Options, sc *Scratch) (*Result, error) {
 	if err := faultinject.Hit("core.postlude"); err != nil {
 		return nil, err

@@ -31,16 +31,68 @@ func spansByName(tr obs.Trace) map[string][]obs.SpanRecord {
 	return m
 }
 
-// TestExploreContextRecordsPhaseSpans locks the engine's phase hook
-// contract: one strip, one mrct and one postlude span per run, the mrct
-// span carrying the dedup telemetry and the postlude span one aggregate
-// "level" child per cache level whose refs equal the non-cold occurrence
-// count (every occurrence lands in exactly one row set per level).
+// TestExploreContextRecordsPhaseSpans locks the service engine's phase
+// hook contract: one strip and one postlude span per run and no conflict
+// table, the postlude span naming the stack-distance algorithm and
+// carrying one "level" child per cache level whose refs equal the
+// non-cold occurrence count N − N' (every occurrence lands in exactly one
+// bucket per level) and whose steps sum to the span's.
 func TestExploreContextRecordsPhaseSpans(t *testing.T) {
 	tr := obsTestTrace(4_000, 1<<7)
 	rec := obs.NewRecorder(0)
 	ctx := obs.WithRecorder(context.Background(), rec)
 	r, err := Explore(ctx, tr, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byName := spansByName(rec.Export())
+	for _, want := range []string{"strip", "postlude"} {
+		if len(byName[want]) != 1 {
+			t.Fatalf("%d %q spans, want 1 (have %v)", len(byName[want]), want, byName)
+		}
+	}
+	if n := len(byName["mrct"]); n != 0 {
+		t.Fatalf("%d mrct spans; the service engine builds no conflict table", n)
+	}
+	post := byName["postlude"][0]
+	if got := post.Attrs["algorithm"]; got != "stackdist" {
+		t.Errorf("postlude algorithm = %v, want stackdist", got)
+	}
+	levels := byName["level"]
+	if len(levels) != len(r.Levels) {
+		t.Fatalf("%d level spans, want %d", len(levels), len(r.Levels))
+	}
+	reuse := r.N - r.NUnique
+	steps := 0
+	for _, lv := range levels {
+		if lv.Parent != post.ID {
+			t.Errorf("level span parented to %d, want postlude %d", lv.Parent, post.ID)
+		}
+		if got := lv.Attrs["refs"]; got != reuse {
+			t.Errorf("level %v refs = %v, want N - N' = %d", lv.Attrs["depth"], got, reuse)
+		}
+		n, ok := lv.Attrs["steps"].(int)
+		if !ok {
+			t.Fatalf("level span lacks an int steps counter: %v", lv.Attrs)
+		}
+		steps += n
+	}
+	if got := post.Attrs["steps"]; got != steps || steps == 0 {
+		t.Errorf("postlude steps = %v, level steps sum to %d (want equal and non-zero)", got, steps)
+	}
+}
+
+// TestExploreAnalyticalRecordsPhaseSpans locks the paper engine's phase
+// hook contract: one strip, one mrct and one postlude span per run, the
+// mrct span carrying the dedup telemetry and the postlude span one
+// aggregate "level" child per cache level whose refs equal the non-cold
+// occurrence count (every occurrence lands in exactly one row set per
+// level).
+func TestExploreAnalyticalRecordsPhaseSpans(t *testing.T) {
+	tr := obsTestTrace(4_000, 1<<7)
+	rec := obs.NewRecorder(0)
+	ctx := obs.WithRecorder(context.Background(), rec)
+	r, err := ExploreAnalytical(ctx, tr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,23 +141,44 @@ func TestExploreContextRecordsPhaseSpans(t *testing.T) {
 	}
 }
 
-// TestExploreParallelPostludeSpan checks the parallel walk's telemetry:
-// no "split" phase, one postlude span carrying the slice count, and
-// per-level children whose rows and refs equal the serial run's — every
-// worker walks the same tree, and each occurrence is folded by exactly
-// one slice. Level time is work summed across the workers, so refs/sec
-// is a per-core rate.
+// TestExploreParallelPostludeSpan checks the parallel engines' telemetry.
+// The stack-distance engine runs one depth per worker: its postlude span
+// carries the worker count and its per-level refs and steps equal the
+// serial run's. The paper engine's parallel walk has no "split" phase,
+// one postlude span carrying the slice count, and per-level children
+// whose rows and refs equal the serial run's — every worker walks the
+// same tree, and each occurrence is folded by exactly one slice. Its
+// level time is work summed across the workers, so refs/sec is a
+// per-core rate.
 func TestExploreParallelPostludeSpan(t *testing.T) {
 	raiseGOMAXPROCS(t, 4)
 	tr := obsTestTrace(4_000, 1<<9)
-	record := func(workers int) map[string][]obs.SpanRecord {
+	record := func(engine func(context.Context, Source, Options) (*Result, error), workers int) map[string][]obs.SpanRecord {
 		rec := obs.NewRecorder(0)
-		if _, err := Explore(obs.WithRecorder(context.Background(), rec), tr, Options{Workers: workers}); err != nil {
+		if _, err := engine(obs.WithRecorder(context.Background(), rec), tr, Options{Workers: workers}); err != nil {
 			t.Fatal(err)
 		}
 		return spansByName(rec.Export())
 	}
-	serial, par := record(1), record(4)
+	serial, par := record(Explore, 1), record(Explore, 4)
+	if got := par["postlude"][0].Attrs["workers"]; got != 4 {
+		t.Errorf("stackdist postlude workers = %v, want 4", got)
+	}
+	if got := serial["postlude"][0].Attrs["workers"]; got != 1 {
+		t.Errorf("serial stackdist postlude workers = %v, want 1", got)
+	}
+	if len(par["level"]) != len(serial["level"]) {
+		t.Fatalf("%d parallel level spans, want %d", len(par["level"]), len(serial["level"]))
+	}
+	for i, lv := range par["level"] {
+		for _, key := range []string{"depth", "refs", "steps"} {
+			if lv.Attrs[key] != serial["level"][i].Attrs[key] {
+				t.Errorf("stackdist level %d %s = %v, serial %v", i, key, lv.Attrs[key], serial["level"][i].Attrs[key])
+			}
+		}
+	}
+
+	serial, par = record(ExploreAnalytical, 1), record(ExploreAnalytical, 4)
 	if n := len(par["split"]); n != 0 {
 		t.Fatalf("%d split spans, want none", n)
 	}

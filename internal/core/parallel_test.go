@@ -21,7 +21,7 @@ func workersOpt(opts Options, workers int) Options {
 // test. Options.Workers clamps to GOMAXPROCS, so on a small CI host a
 // test that wants the parallel walk actually exercised (not the one-slice
 // walk the clamp would pick) must raise the ceiling first.
-func raiseGOMAXPROCS(t *testing.T, n int) {
+func raiseGOMAXPROCS(t testing.TB, n int) {
 	t.Helper()
 	prev := runtime.GOMAXPROCS(0)
 	if prev >= n {

@@ -88,13 +88,10 @@ func explorePostludeSampled(ctx context.Context, tr *trace.Trace, cfg sampling.C
 	}
 
 	if eff >= 1 {
-		// Degenerate exact run: the full postlude, with the estimate
-		// attached so callers still see rate/CI metadata (all zero-width).
-		_, m, err := buildPreludeMRCT(ctx, s, sc)
-		if err != nil {
-			return nil, err
-		}
-		res, err := runPostlude(ctx, s, m, opts, sc)
+		// Degenerate exact run: Explore's own engine, so the Result is
+		// bit-identical to the exact path, with the estimate attached so
+		// callers still see rate/CI metadata (all zero-width).
+		res, err := runStackDist(ctx, s, opts, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -212,11 +209,17 @@ func exploreStreamSampled(ctx context.Context, rr trace.RefReader, cfg sampling.
 		return nil, err
 	}
 
-	_, m, err := buildPreludeMRCT(ctx, s, sc)
-	if err != nil {
-		return nil, err
+	var sampled *Result
+	if eff >= 1 {
+		// Rate 1 keeps every reference: the exact engine answers, and
+		// rescaleStream passes its Result through untouched.
+		sampled, err = runStackDist(ctx, s, opts, sc)
+	} else {
+		var m *MRCT
+		if _, m, err = buildPreludeMRCT(ctx, s, sc); err == nil {
+			sampled, err = runPostlude(ctx, s, m, opts, sc)
+		}
 	}
-	sampled, err := runPostlude(ctx, s, m, opts, sc)
 	if err != nil {
 		return nil, err
 	}

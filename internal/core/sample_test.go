@@ -21,25 +21,56 @@ func zipfTrace(t *testing.T) *trace.Trace {
 	return tracegen.Zipf(rand.New(rand.NewSource(7)), 0x1000, 20000, 200000, 1.2)
 }
 
+// A rate-1 run, and a run whose rate the s_min floor raises to exact,
+// must be bit-identical to the exact engine, Hist[0] included. The small
+// strided trace's deep levels hold single-identifier rows — the levels
+// the exact engine answers without a pass — and the stream source takes
+// the thinning sampler's degenerate path.
 func TestSampleRateOneBitIdentical(t *testing.T) {
-	tr := zipfTrace(t)
-	exact, err := Explore(context.Background(), tr, Options{MaxDepth: 256})
-	if err != nil {
-		t.Fatal(err)
+	strided := trace.New(0)
+	for rep := 0; rep < 30; rep++ {
+		for i := uint32(0); i < 24; i++ {
+			strided.Append(trace.Ref{Addr: 0x40 + i*12, Kind: trace.DataRead})
+		}
 	}
-	sampled, err := Explore(context.Background(), tr, Options{MaxDepth: 256, SampleRate: 1})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		tr   *trace.Trace
+		opts Options
+	}{
+		{"zipf/rate-1", zipfTrace(t), Options{MaxDepth: 256, SampleRate: 1}},
+		{"strided/rate-1", strided, Options{SampleRate: 1}},
+		{"strided/floored", strided, Options{SampleRate: 0.01}},
 	}
-	if sampled.Sample == nil || !sampled.Sample.Exact() {
-		t.Fatalf("rate-1 result's estimate not exact: %+v", sampled.Sample)
-	}
-	if sampled.N != exact.N || sampled.NUnique != exact.NUnique {
-		t.Fatalf("rate-1 totals (%d, %d) differ from exact (%d, %d)",
-			sampled.N, sampled.NUnique, exact.N, exact.NUnique)
-	}
-	if !reflect.DeepEqual(sampled.Levels, exact.Levels) {
-		t.Fatal("rate-1 levels are not bit-identical to the exact engine")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			exactOpts := c.opts
+			exactOpts.SampleRate = 0
+			exact, err := Explore(context.Background(), c.tr, exactOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sources := map[string]Source{"trace": c.tr}
+			if c.opts.SampleRate == 1 {
+				sources["stream"] = trace.RefReader(trace.NewReader(c.tr))
+			}
+			for name, src := range sources {
+				sampled, err := Explore(context.Background(), src, c.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sampled.Sample == nil || !sampled.Sample.Exact() {
+					t.Fatalf("%s: estimate not exact: %+v", name, sampled.Sample)
+				}
+				if sampled.N != exact.N || sampled.NUnique != exact.NUnique {
+					t.Fatalf("%s: totals (%d, %d) differ from exact (%d, %d)",
+						name, sampled.N, sampled.NUnique, exact.N, exact.NUnique)
+				}
+				if !reflect.DeepEqual(sampled.Levels, exact.Levels) {
+					t.Fatalf("%s: levels are not bit-identical to the exact engine: %s", name, diffResults(exact, sampled))
+				}
+			}
+		})
 	}
 }
 

@@ -8,13 +8,14 @@ import (
 	"github.com/example/cachedse/internal/trace"
 )
 
-// This file holds the engine's pooled scratch: every allocation the
+// This file holds the engines' pooled scratch: every allocation the
 // steady-state explore path used to make per request — the stripped form,
-// the MRCT build tables (dedup chains, epoch stamps, LRU positions,
-// conflict-set arenas, packed bit-vectors, occurrence storage), the
-// postlude's zero/one planes and root set, and each postlude worker's
-// per-level row sets and private histograms — lives in a Scratch that a
-// sync.Pool recycles across explorations. A warm pool drives the data
+// the stack-distance engine's per-level set numbering, stacks and
+// histograms, the MRCT build tables (dedup chains, epoch stamps, LRU
+// positions, conflict-set arenas, packed bit-vectors, occurrence
+// storage), the postlude's zero/one planes and root set, and each
+// postlude worker's per-level row sets and private histograms — lives in
+// a Scratch that a sync.Pool recycles across explorations. A warm pool drives the data
 // plane's allocs/op to the Result envelope alone
 // (BenchmarkSteadyStateAllocs and the alloc-smoke CI gate pin this),
 // which is what keeps GC pause time out of the p99 under sustained load.
@@ -64,6 +65,14 @@ type Scratch struct {
 	// state per slice (pointers stable across runs).
 	bounds  []int
 	workers []*dfsWorker
+
+	// Stack-distance engine (see runStackDist): the bit-reversed sort
+	// keys, the identifier order they yield, one pooled pass state per
+	// worker and the traced per-level telemetry.
+	revKeys    []uint64
+	order      []int32
+	stackers   []*stackWorker
+	levelStats []levelStat
 }
 
 // note records a trace dimension for pool classing.
@@ -98,6 +107,14 @@ func (sc *Scratch) dfsWorkers(n int) []*dfsWorker {
 		sc.workers = append(sc.workers, &dfsWorker{})
 	}
 	return sc.workers[:n]
+}
+
+// stackWorkers returns n pooled stack-distance pass states.
+func (sc *Scratch) stackWorkers(n int) []*stackWorker {
+	for len(sc.stackers) < n {
+		sc.stackers = append(sc.stackers, &stackWorker{})
+	}
+	return sc.stackers[:n]
 }
 
 // int32Arena carves []int32 runs (sorted sparse conflict sets) out of

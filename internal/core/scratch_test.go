@@ -12,8 +12,9 @@ import (
 )
 
 // scratchTestTrace builds a mid-sized mixed trace whose exploration
-// exercises every pooled structure: dedup chains, sparse and packed
-// conflict sets, multi-level DFS pairs.
+// exercises every pooled structure: per-level stacks, and for the paper
+// engine dedup chains, sparse and packed conflict sets, multi-level DFS
+// pairs.
 func scratchTestTrace(seed int64, n, unique int) *trace.Trace {
 	rng := rand.New(rand.NewSource(seed))
 	tr := trace.New(n)
@@ -74,37 +75,43 @@ func TestAllocsSteadyStateExploreStream(t *testing.T) {
 
 // Warm pooled runs must be bit-identical to the cold first run and to the
 // materialised-BCAT reference: reused arenas and freelists may never leak
-// state between explorations.
+// state between explorations. Both engines draw on the pool.
 func TestPooledRunsBitIdentical(t *testing.T) {
 	tr := scratchTestTrace(13, 8000, 200)
-	cold, err := Explore(context.Background(), tr, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for run := 0; run < 4; run++ {
-		warm, err := Explore(context.Background(), tr, Options{})
+	s := trace.Strip(tr)
+	ref := bcatReference(s, BuildMRCT(s))
+	for name, engine := range map[string]func(context.Context, Source, Options) (*Result, error){
+		"analytical": ExploreAnalytical,
+		"stackdist":  Explore,
+	} {
+		cold, err := engine(context.Background(), tr, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !resultsIdentical(cold, warm) {
-			t.Fatalf("warm pooled run %d differs from cold run", run)
+		for run := 0; run < 4; run++ {
+			warm, err := engine(context.Background(), tr, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !resultsIdentical(cold, warm) {
+				t.Fatalf("%s: warm pooled run %d differs from cold run", name, run)
+			}
 		}
-	}
-	s := trace.Strip(tr)
-	if !resultsIdentical(cold, bcatReference(s, BuildMRCT(s))) {
-		t.Fatal("pooled DFS differs from the BCAT reference")
-	}
-	// Interleave a differently-shaped trace through the same pool, then
-	// re-run the original: a stale-arena read would surface here.
-	if _, err := Explore(context.Background(), scratchTestTrace(17, 500, 40), Options{}); err != nil {
-		t.Fatal(err)
-	}
-	again, err := Explore(context.Background(), tr, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resultsIdentical(cold, again) {
-		t.Fatal("pooled run differs after interleaved exploration")
+		if !resultsIdentical(cold, ref) {
+			t.Fatalf("%s: pooled run differs from the BCAT reference", name)
+		}
+		// Interleave a differently-shaped trace through the same pool, then
+		// re-run the original: a stale-arena read would surface here.
+		if _, err := engine(context.Background(), scratchTestTrace(17, 500, 40), Options{}); err != nil {
+			t.Fatal(err)
+		}
+		again, err := engine(context.Background(), tr, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resultsIdentical(cold, again) {
+			t.Fatalf("%s: pooled run differs after interleaved exploration", name)
+		}
 	}
 }
 

@@ -8,67 +8,81 @@ import (
 	"github.com/example/cachedse/internal/trace"
 )
 
-// Source is the input to Explore. Three shapes are accepted:
+// Source is the input to Explore and ExploreAnalytical. Three shapes are
+// accepted:
 //
-//	*trace.Trace     — an in-memory trace; the full prelude runs over it
-//	Prelude          — pre-built strip + conflict table, for reuse across
+//	*trace.Trace     — an in-memory trace; the engine strips it
+//	Prelude          — pre-built prelude structures, for reuse across
 //	                   repeated explorations of the same trace
-//	trace.RefReader  — a reference stream; the prelude consumes it without
-//	                   materialising a *trace.Trace (ctz1 files flow from
-//	                   disk holding one decoder block at a time)
+//	trace.RefReader  — a reference stream; the strip pass consumes it
+//	                   without materialising a *trace.Trace (ctz1 files
+//	                   flow from disk holding one decoder block at a time)
 //
 // It is deliberately `any` rather than a method interface: *trace.Trace
 // lives below core in the import graph and cannot implement a core-defined
 // interface, and a sealed type switch keeps the accepted set explicit.
 type Source any
 
-// Prelude bundles the outputs of the engine's first phase — the stripped
-// trace and its conflict table — so callers exploring the same trace under
-// several Options can pay for strip + MRCT construction once.
+// Prelude bundles the outputs of the paper engine's first phase — the
+// stripped trace and its conflict table — so callers exploring the same
+// trace under several Options can pay for strip + MRCT construction once.
+// ExploreAnalytical consumes both; Explore's stack-distance engine needs
+// only Stripped and ignores MRCT.
 type Prelude struct {
 	Stripped *trace.Stripped
 	MRCT     *MRCT
 }
 
-// resolveSource normalises a Source into the (stripped, MRCT) pair the
-// postlude consumes, running whatever part of the prelude the shape still
-// needs against sc's pooled buffers (a Prelude source bypasses sc — its
-// structures are caller-owned and outlive the scratch). Phase boundaries
-// carry failpoints (core.strip, core.mrct) so the chaos suite can fail an
-// exploration between phases.
-func resolveSource(ctx context.Context, src Source, sc *Scratch) (*trace.Stripped, *MRCT, error) {
+// stripSource normalises a Source into the stripped trace, running the
+// strip pass against sc's pooled buffers unless the source is a Prelude,
+// whose caller-owned Stripped outlives the scratch. The strip phase
+// carries the core.strip failpoint so the chaos suite can fail an
+// exploration before the engine runs.
+func stripSource(ctx context.Context, src Source, sc *Scratch) (*trace.Stripped, error) {
 	switch v := src.(type) {
 	case *trace.Trace:
 		if v == nil {
-			return nil, nil, fmt.Errorf("core: Explore given a nil *trace.Trace")
+			return nil, fmt.Errorf("core: Explore given a nil *trace.Trace")
 		}
 		if err := faultinject.Hit("core.strip"); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		s := stripWithSpan(ctx, v, sc)
-		return buildPreludeMRCT(ctx, s, sc)
+		return stripWithSpan(ctx, v, sc), nil
 	case Prelude:
+		if v.Stripped == nil {
+			return nil, fmt.Errorf("core: Prelude has no Stripped trace")
+		}
+		return v.Stripped, nil
+	case trace.RefReader:
+		if v == nil {
+			return nil, fmt.Errorf("core: Explore given a nil trace.RefReader")
+		}
+		if err := faultinject.Hit("core.strip"); err != nil {
+			return nil, err
+		}
+		return stripReaderWithSpan(ctx, v, sc)
+	case nil:
+		return nil, fmt.Errorf("core: Explore given a nil Source")
+	default:
+		return nil, fmt.Errorf("core: unsupported Source type %T (want *trace.Trace, core.Prelude, or trace.RefReader)", src)
+	}
+}
+
+// resolveSource normalises a Source into the (stripped, MRCT) pair the
+// paper's postlude consumes: a Prelude passes through as is, any other
+// shape is stripped and its conflict table built (core.mrct failpoint).
+func resolveSource(ctx context.Context, src Source, sc *Scratch) (*trace.Stripped, *MRCT, error) {
+	if v, ok := src.(Prelude); ok {
 		if v.Stripped == nil || v.MRCT == nil {
 			return nil, nil, fmt.Errorf("core: Prelude needs both Stripped and MRCT (got %v, %v)", v.Stripped != nil, v.MRCT != nil)
 		}
 		return v.Stripped, v.MRCT, nil
-	case trace.RefReader:
-		if v == nil {
-			return nil, nil, fmt.Errorf("core: Explore given a nil trace.RefReader")
-		}
-		if err := faultinject.Hit("core.strip"); err != nil {
-			return nil, nil, err
-		}
-		s, err := stripReaderWithSpan(ctx, v, sc)
-		if err != nil {
-			return nil, nil, err
-		}
-		return buildPreludeMRCT(ctx, s, sc)
-	case nil:
-		return nil, nil, fmt.Errorf("core: Explore given a nil Source")
-	default:
-		return nil, nil, fmt.Errorf("core: unsupported Source type %T (want *trace.Trace, core.Prelude, or trace.RefReader)", src)
 	}
+	s, err := stripSource(ctx, src, sc)
+	if err != nil {
+		return nil, nil, err
+	}
+	return buildPreludeMRCT(ctx, s, sc)
 }
 
 // buildPreludeMRCT finishes the prelude from a stripped trace. With a

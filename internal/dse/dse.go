@@ -34,14 +34,15 @@ type Outcome struct {
 	Elapsed time.Duration
 }
 
-// Analytical runs the paper's approach (Figure 1b): prelude + postlude,
-// no simulation.
+// Analytical runs the analytical approach of Figure 1b: one exact
+// exploration (core.Explore) profiles every (depth, associativity) at
+// once, with no simulation.
 func Analytical(t *trace.Trace, k int, opts core.Options) (Outcome, error) {
 	return AnalyticalContext(context.Background(), t, k, opts)
 }
 
 // AnalyticalContext is Analytical with cancellation threaded into the
-// prelude and postlude.
+// exploration.
 func AnalyticalContext(ctx context.Context, t *trace.Trace, k int, opts core.Options) (Outcome, error) {
 	start := time.Now()
 	r, err := core.Explore(ctx, t, opts)

@@ -272,7 +272,8 @@ type Timing struct {
 }
 
 // Runtime regenerates Table 31 (data) or 32 (instruction): wall-clock time
-// of the full analytical pipeline (strip + MRCT + postlude) per benchmark.
+// of the paper's full analytical pipeline (strip + MRCT + postlude,
+// core.ExploreAnalytical) per benchmark.
 func (s *Suite) Runtime(stream Stream) (*report.Table, []Timing, error) {
 	num := 31
 	if stream == Instruction {
@@ -290,7 +291,7 @@ func (s *Suite) Runtime(stream Stream) (*report.Table, []Timing, error) {
 	for _, ts := range s.Sets {
 		tr := ts.Stream(stream)
 		start := time.Now()
-		if _, err := core.Explore(context.Background(), tr, core.Options{}); err != nil {
+		if _, err := core.ExploreAnalytical(context.Background(), tr, core.Options{}); err != nil {
 			return nil, nil, err
 		}
 		el := time.Since(start).Seconds()
@@ -303,10 +304,10 @@ func (s *Suite) Runtime(stream Stream) (*report.Table, []Timing, error) {
 
 // ControlledScaling is the complementary Figure 4 study on homogeneous
 // synthetic traces: it sweeps a grid of (N, N') targets with a fixed
-// workload shape and times the exploration of each, isolating the
-// linear-in-N·N' claim from the workload-shape variance the PowerStone
-// kernels add. Each point is the best of three runs to damp scheduler
-// noise.
+// workload shape and times the paper engine's exploration of each,
+// isolating the linear-in-N·N' claim from the workload-shape variance the
+// PowerStone kernels add. Each point is the best of three runs to damp
+// scheduler noise.
 func ControlledScaling(seed int64) ([]Timing, error) {
 	rng := rand.New(rand.NewSource(seed))
 	var out []Timing
@@ -319,7 +320,7 @@ func ControlledScaling(seed int64) ([]Timing, error) {
 			best := 0.0
 			for rep := 0; rep < 3; rep++ {
 				start := time.Now()
-				if _, err := core.Explore(context.Background(), tr, core.Options{}); err != nil {
+				if _, err := core.ExploreAnalytical(context.Background(), tr, core.Options{}); err != nil {
 					return nil, err
 				}
 				el := time.Since(start).Seconds()

@@ -469,6 +469,25 @@ func renderExplore(entry *TraceEntry, budget int, req exploreRequest, res *core.
 	return resp
 }
 
+// postludeSteps reads the exact engine's work counter — the stack
+// positions it scanned — off the "postlude" span the exploration just
+// recorded under ctx, so the job root can surface it beside N and N'.
+// A sampled run below rate 1 records no such counter.
+func postludeSteps(ctx context.Context) (int, bool) {
+	rec := obs.RecorderFrom(ctx)
+	if rec == nil {
+		return 0, false
+	}
+	spans := rec.Export().Spans
+	for i := len(spans) - 1; i >= 0; i-- {
+		if spans[i].Name == "postlude" {
+			steps, ok := spans[i].Attrs["steps"].(int)
+			return steps, ok
+		}
+	}
+	return 0, false
+}
+
 // runExplore answers one exploration, serving the depth profile from the
 // result cache when the same trace has been explored with the same
 // MaxDepth before — the budget K only selects rows from the profile, so
@@ -500,24 +519,13 @@ func (s *Server) runExplore(ctx context.Context, entry *TraceEntry, budget int, 
 			opts.Workers = -1
 		}
 		var err error
-		if req.SampleRate != 0 {
-			// The sampled engine needs the raw trace, not the memoized
-			// prelude: its stratification plan reads per-address occurrence
-			// masses and its estimate calibrates against the occurrence
-			// counts a stripped prelude no longer carries.
-			res, err = core.Explore(ctx, entry.Trace, opts)
-		} else {
-			stripped, mrct, perr := entry.Prelude(ctx)
-			if perr != nil {
-				return nil, perr
-			}
-			if root := obs.CurrentSpan(ctx); root != nil {
-				root.SetAttr("dedup_hit_rate", mrct.DedupHitRate())
-			}
-			res, err = core.Explore(ctx, core.Prelude{Stripped: stripped, MRCT: mrct}, opts)
-		}
-		if err != nil {
+		if res, err = core.Explore(ctx, entry.Trace, opts); err != nil {
 			return nil, err
+		}
+		if root := obs.CurrentSpan(ctx); root != nil {
+			if steps, ok := postludeSteps(ctx); ok {
+				root.SetAttr("stack_steps", steps)
+			}
 		}
 		s.results.Put(key, res)
 		s.persistResult(ctx, key, persistedResult{Kind: "explore", Explore: res})
@@ -771,7 +779,7 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, kind, digest s
 		return
 	}
 	// Every job records its own span tree: a root "job" span wrapping fn,
-	// with the engine phases (prelude, postlude, ...) nesting beneath it.
+	// with the engine phases (strip, postlude, ...) nesting beneath it.
 	// The recorder rides the job so GET /v1/jobs/{id}/trace can serve the
 	// tree after the fact. The recorder joins the request's distributed
 	// trace: it adopts the inbound trace ID (minted by the middleware or

@@ -58,8 +58,9 @@ func runAsyncExplore(t *testing.T, baseURL string, body map[string]any) (JobStat
 
 // TestServerJobTraceBreakdown locks the tentpole contract: a job carries a
 // span tree whose top-level phases account for (almost) all of the job's
-// wall time, the summary surfaces N, N' and the MRCT dedup hit rate, and
-// the trace endpoint serves the nested tree with the engine phases in it.
+// wall time, the summary surfaces N, N' and the engine's stack-distance
+// work counter, and the trace endpoint serves the nested tree with the
+// engine phases in it — and no conflict table.
 func TestServerJobTraceBreakdown(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	tr := testTrace(30_000, 1<<10)
@@ -86,7 +87,7 @@ func TestServerJobTraceBreakdown(t *testing.T) {
 	if sum.Name != "job" {
 		t.Errorf("summary root %q, want job", sum.Name)
 	}
-	for _, attr := range []string{"n", "n_unique", "dedup_hit_rate"} {
+	for _, attr := range []string{"n", "n_unique", "stack_steps"} {
 		if _, ok := sum.Attrs[attr]; !ok {
 			t.Errorf("summary missing attr %q: %v", attr, sum.Attrs)
 		}
@@ -95,7 +96,7 @@ func TestServerJobTraceBreakdown(t *testing.T) {
 	for _, p := range sum.Phases {
 		phases[p.Name] = true
 	}
-	for _, want := range []string{"lookup", "prelude", "postlude", "emit"} {
+	for _, want := range []string{"lookup", "strip", "postlude", "emit"} {
 		if !phases[want] {
 			t.Errorf("summary missing phase %q: %+v", want, sum.Phases)
 		}
@@ -130,14 +131,19 @@ func TestServerJobTraceBreakdown(t *testing.T) {
 		}
 	}
 	walk(tree.Spans)
-	for _, want := range []string{"job", "lookup", "prelude", "strip", "mrct", "postlude", "level", "emit"} {
+	for _, want := range []string{"job", "lookup", "strip", "postlude", "level", "emit"} {
 		if names[want] == 0 {
 			t.Errorf("span tree missing %q: %v", want, names)
 		}
 	}
+	for _, gone := range []string{"prelude", "mrct"} {
+		if names[gone] != 0 {
+			t.Errorf("exact explore recorded a %q span: %v", gone, names)
+		}
+	}
 
 	// A second explore at a different budget is a cache hit: its trace has
-	// no prelude/postlude, and the lookup span says hit.
+	// no strip/postlude, and the lookup span says hit.
 	st2, _ := runAsyncExplore(t, ts.URL, map[string]any{
 		"trace": info.Digest, "k": 50, "async": true,
 	})

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"github.com/example/cachedse/internal/core"
+	"github.com/example/cachedse/internal/obs"
 	"github.com/example/cachedse/internal/trace"
 	"github.com/example/cachedse/internal/tracestore"
 )
@@ -105,6 +106,10 @@ func (s *Server) persistResult(ctx context.Context, key string, env persistedRes
 	if s.persist == nil {
 		return
 	}
+	// One span covers encoding and the store write, so a job's phases
+	// account for the time spent persisting its result.
+	ctx, span := obs.StartSpan(ctx, "persist")
+	defer span.End()
 	data, err := json.Marshal(env)
 	if err != nil {
 		s.cfg.Logger.ErrorContext(ctx, "encoding result for persistence",

@@ -2,9 +2,9 @@
 // service: clients upload traces once, then issue stats / explore /
 // simulate / verify queries against them. Explorations run through a
 // bounded worker pool fed by an async job queue (submit → poll → fetch),
-// per-trace prelude work (strip + MRCT) is memoized, and exploration
-// results are memoized in a sharded LRU keyed by trace digest + options,
-// so answering the same trace at a different budget K is a cache hit.
+// and exploration results are memoized in a sharded LRU keyed by trace
+// digest + options, so answering the same trace at a different budget K
+// is a cache hit.
 // Cancellation flows from the HTTP request down into the exploration
 // loops, and /metrics exposes request, latency, queue and cache counters
 // in the Prometheus text format — all stdlib only.

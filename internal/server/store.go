@@ -2,66 +2,26 @@ package server
 
 import (
 	"container/list"
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"sync"
 	"time"
 
-	"github.com/example/cachedse/internal/core"
-	"github.com/example/cachedse/internal/obs"
 	"github.com/example/cachedse/internal/trace"
 )
 
 // TraceEntry is one uploaded trace: its content digest, the decoded
-// references, the Table 5/6 statistics, and the lazily built, memoized
-// prelude structures (stripped trace + MRCT) every exploration of the
-// trace shares. The prelude is the expensive half of the paper's
-// algorithm; memoizing it is what makes repeated (D, A) queries at
-// different budgets cheap.
+// references, the Table 5/6 statistics and its kind. Explorations strip
+// the trace afresh and keep nothing per entry; the result cache, keyed by
+// digest and MaxDepth, is what makes a repeated or new-budget query
+// cheap.
 type TraceEntry struct {
 	Digest   string
 	Trace    *trace.Trace
 	Stats    trace.Stats
 	Kind     string // "instr", "data" or "mixed" (see classifyTrace)
 	Uploaded time.Time
-
-	mu       sync.Mutex
-	stripped *trace.Stripped
-	mrct     *core.MRCT
-}
-
-// Prelude returns the stripped trace and conflict table, building them on
-// first use. Concurrent callers for the same trace serialize so the work
-// happens once; only successful builds are memoized, so a cancelled
-// builder fails just its own request. A build records a "prelude" span
-// with "strip" and "mrct" children; a memoized return records nothing —
-// the job paid nothing, so its trace shows nothing.
-func (e *TraceEntry) Prelude(ctx context.Context) (*trace.Stripped, *core.MRCT, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.mrct == nil {
-		pctx, span := obs.StartSpan(ctx, "prelude")
-		_, sspan := obs.StartSpan(pctx, "strip")
-		s := trace.Strip(e.Trace)
-		if sspan != nil {
-			sspan.SetAttr("n", s.N())
-			sspan.SetAttr("n_unique", s.NUnique())
-			sspan.End()
-		}
-		m, err := core.BuildMRCTContext(pctx, s)
-		if err != nil {
-			return nil, nil, err
-		}
-		if span != nil {
-			span.SetAttr("n", s.N())
-			span.SetAttr("n_unique", s.NUnique())
-			span.End()
-		}
-		e.stripped, e.mrct = s, m
-	}
-	return e.stripped, e.mrct, nil
 }
 
 // classifyTrace buckets a trace by its reference kinds: "instr" when

@@ -26,7 +26,9 @@
 #   PATTERN    benchmark regexp             (default: the core perf set below)
 #
 # The JSON maps each benchmark to all its ns/op samples plus their minimum
-# (the most reproducible point statistic on a noisy machine). For proper
+# (the most reproducible point statistic on a noisy machine), their median
+# and their spread as the interquartile range (nearest-rank quartiles;
+# zero below four samples). For proper
 # statistics across two snapshots, keep the raw `go test` output and use
 # benchstat:
 #
@@ -58,7 +60,7 @@ while [ $# -gt 0 ]; do
 done
 
 benchtime=${BENCHTIME:-3x}
-pattern=${PATTERN:-'^(BenchmarkTable31|BenchmarkTable32|BenchmarkFigure4|BenchmarkSampledExplore|BenchmarkAblationMRCTBuild|BenchmarkAblationParallelExplore|BenchmarkMicroIntersect|BenchmarkMicroMRCTDedup)$'}
+pattern=${PATTERN:-'^(BenchmarkTable31|BenchmarkTable32|BenchmarkFigure4|BenchmarkSampledExplore|BenchmarkAblationMRCTBuild|BenchmarkAblationParallelExplore|BenchmarkAblationStackDistVsAnalytical|BenchmarkMicroIntersect|BenchmarkMicroMRCTDedup)$'}
 
 raw="$out.txt"
 go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -count "$count" -benchmem . | tee "$raw"
@@ -72,6 +74,15 @@ go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -count "$count" -ben
 awk -v benchtime="$benchtime" -v count="$count" -v pattern="$pattern" '
 function noteMin(tab, name, v) {
   if (!((name) in tab) || v + 0 < tab[name] + 0) tab[name] = v
+}
+# rank(list, q) sorts the comma-separated samples and returns the
+# nearest-rank q-quantile.
+function rank(list, q,    v, m, i, j, t) {
+  m = split(list, v, ",")
+  for (i = 2; i <= m; i++)
+    for (j = i; j > 1 && v[j - 1] + 0 > v[j] + 0; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
+  i = int(q * m + 0.5); if (i < 1) i = 1; if (i > m) i = m
+  return v[i]
 }
 /^goos:/   { goos = $2 }
 /^goarch:/ { goarch = $2 }
@@ -102,8 +113,10 @@ END {
   printf "  \"results\": {\n"
   for (i = 1; i <= n; i++) {
     name = order[i]
-    printf "    \"%s\": {\"ns_per_op_min\": %s, \"ns_per_op\": [%s]", \
-      name, min[name], samples[name]
+    nsamp = split(samples[name], tmp, ",")
+    iqr = nsamp >= 4 ? rank(samples[name], 0.75) - rank(samples[name], 0.25) : 0
+    printf "    \"%s\": {\"ns_per_op_min\": %s, \"ns_per_op_median\": %s, \"ns_per_op_iqr\": %s, \"ns_per_op\": [%s]", \
+      name, min[name], rank(samples[name], 0.5), iqr, samples[name]
     if (name in bytesop) printf ", \"bytes_per_op\": %s", bytesop[name]
     if (name in allocs)  printf ", \"allocs_per_op\": %s", allocs[name]
     if (name in gcs)     printf ", \"gcs_per_op\": %s", gcs[name]

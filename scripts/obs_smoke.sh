@@ -73,10 +73,13 @@ echo "$status" | grep -q '"phases":' ||
 
 # ...and the trace endpoint serves the full span tree with the engine phases.
 spans=$(curl -sf "$base/v1/jobs/$job/trace")
-for name in '"job"' '"prelude"' '"mrct"' '"postlude"'; do
+for name in '"job"' '"strip"' '"postlude"' '"level"'; do
   echo "$spans" | grep -q "\"name\": $name" ||
     { echo "obs_smoke: span tree missing $name: $spans" >&2; exit 1; }
 done
+# The exact service engine builds no conflict table.
+echo "$spans" | grep -q '"name": "mrct"' &&
+  { echo "obs_smoke: exact explore recorded an mrct span: $spans" >&2; exit 1; }
 
 # Metrics exposition: the request counter must have seen our calls. The
 # counters increment after the response flushes, so allow a brief retry.
