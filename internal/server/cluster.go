@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/example/cachedse/internal/cluster"
@@ -268,8 +269,18 @@ func relayResponse(w http.ResponseWriter, resp *http.Response) {
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
+	// The instrumented ResponseWriter is no io.ReaderFrom, so io.Copy
+	// would allocate a fresh 32 KiB buffer per relayed response.
+	buf := relayBufs.Get().(*[]byte)
+	_, _ = io.CopyBuffer(w, resp.Body, *buf)
+	relayBufs.Put(buf)
 }
+
+// relayBufs recycles relayResponse's copy buffers.
+var relayBufs = sync.Pool{New: func() any {
+	b := make([]byte, 32<<10)
+	return &b
+}}
 
 // clusterFallback is the tracestore read-repair hook: a local miss or a
 // digest-verification failure on a trace object fetches the bytes from

@@ -133,10 +133,11 @@ func labelsKey(names, values []string) string {
 	return b.String()
 }
 
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
+// labelEscaper is built once: a strings.Replacer is safe for concurrent
+// use, and building one per label value allocated on every request.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+func escapeLabel(v string) string { return labelEscaper.Replace(v) }
 
 // Registry holds metric families in registration order and renders them.
 type Registry struct {

@@ -78,3 +78,14 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 		t.Fatalf("Count = %d", h.Count())
 	}
 }
+
+// Label values are escaped on every instrumented request, so escaping
+// must be correct and must not allocate when a value needs no escape.
+func TestEscapeLabel(t *testing.T) {
+	if got, want := escapeLabel("a\\b\"c\nd"), `a\\b\"c\nd`; got != want {
+		t.Errorf("escapeLabel = %q, want %q", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = escapeLabel("explore") }); n != 0 {
+		t.Errorf("escapeLabel allocates %.0f objects on a plain value, want 0", n)
+	}
+}

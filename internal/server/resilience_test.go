@@ -329,6 +329,15 @@ func TestEndpointGateSheds(t *testing.T) {
 	<-started
 
 	deadline := time.Now().Add(5 * time.Second)
+	// Only once its job is queued behind the occupied worker does the
+	// first explore hold the gate slot; probing earlier lets a probe take
+	// the slot and park itself behind the worker instead.
+	for srv.queue.Depth() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("first explore never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	for {
 		if time.Now().After(deadline) {
 			t.Fatal("gate never shed a request")

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // The ctz1 codec is the compact, checksummed binary trace format backing
@@ -583,17 +584,28 @@ func ReadCTZ1Limits(r io.Reader, lim Limits) (*Trace, error) {
 	return readAll(d)
 }
 
-// readAll drains a RefReader into a trace.
+// readAll drains a RefReader into a trace. The references accumulate in
+// a pooled buffer and are copied once into an exactly sized trace, so
+// decoding an upload allocates its result rather than every doubling
+// step of a growing slice.
 func readAll(rr RefReader) (*Trace, error) {
-	t := New(0)
+	bp := refBufs.Get().(*[]Ref)
+	buf := (*bp)[:0]
+	defer func() {
+		*bp = buf[:0]
+		refBufs.Put(bp)
+	}()
 	for {
 		r, err := rr.Next()
 		if err == io.EOF {
-			return t, nil
+			return &Trace{Refs: append(make([]Ref, 0, len(buf)), buf...)}, nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		t.Append(r)
+		buf = append(buf, r)
 	}
 }
+
+// refBufs recycles readAll's accumulation buffers.
+var refBufs = sync.Pool{New: func() any { return new([]Ref) }}
