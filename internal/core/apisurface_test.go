@@ -60,11 +60,12 @@ func TestAPISurfaceOneExploreEntryPoint(t *testing.T) {
 	}
 }
 
-// TestAPISurfaceOnePostlude locks in the single LRU postlude: the engine
-// switch (Options.Engine, the Engine type and its constants) and its
-// serial-engine error were removed when the depth-first walk became the
-// only postlude, with Options.Workers as its one knob. Reintroducing any
-// of them fails here.
+// TestAPISurfaceOnePostlude locks in the paper engine's single LRU
+// postlude: the engine switch (Options.Engine, the Engine type and its
+// constants) and its serial-engine error were removed when the
+// depth-first walk became ExploreAnalytical's only postlude. The walk is
+// serial; Options.Workers parallelises only Explore's stack-distance
+// passes. Reintroducing any of them fails here.
 func TestAPISurfaceOnePostlude(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {

@@ -165,11 +165,11 @@ func TestQuickMRCTNaiveEquivalent(t *testing.T) {
 // bcatReference is the literal Algorithm 3 over the literal Algorithm 1:
 // materialise the BCAT and fold every level's row sets into that level's
 // histogram. The engine's depth-first postlude must reproduce it bit for
-// bit at every worker count.
+// bit.
 func bcatReference(s *trace.Stripped, m *MRCT) *Result {
 	tree := BuildBCAT(s, 0)
 	r := newResult(s, m, tree.Levels)
-	fold := func(l int, set *bitset.Set) { accumulateRangeHist(r.Levels[l].Hist, set, m, 0, set.Cap()) }
+	fold := func(l int, set *bitset.Set) { accumulateHist(r.Levels[l].Hist, set, m) }
 	if s.NUnique() > 0 {
 		root := bitset.New(s.NUnique())
 		for id := 0; id < s.NUnique(); id++ {
@@ -278,13 +278,11 @@ func diffMissProfiles(a, b *Result) string {
 }
 
 // The postlude must stay bit-identical to the literal materialised-BCAT
-// Algorithm 3 at every worker count, over loop-, zipf-, and uniform-shaped
-// synthetic workloads with fixed seeds. This is the regression gate for
-// the hybrid conflict-set representation, the hash-deduped MRCT, and the
-// identifier-range partition of the parallel walk. Explore's
+// Algorithm 3 over loop-, zipf-, and uniform-shaped synthetic workloads
+// with fixed seeds. This is the regression gate for the hybrid
+// conflict-set representation and the hash-deduped MRCT. Explore's
 // stack-distance engine must match it on every d >= 1 bucket and AZero.
 func TestCrossCheckEnginesBitIdentical(t *testing.T) {
-	raiseGOMAXPROCS(t, 8)
 	for _, seed := range []int64{1, 7, 4242} {
 		rng := rand.New(rand.NewSource(seed))
 		workloads := map[string]*trace.Trace{
@@ -302,20 +300,6 @@ func TestCrossCheckEnginesBitIdentical(t *testing.T) {
 				}
 				if d := diffResults(seq, bcatReference(s, m)); d != "" {
 					t.Fatalf("BCAT vs DFS: %s", d)
-				}
-				for _, workers := range []int{1, 2, 3, 4, 8} {
-					par, err := ExploreAnalytical(context.Background(), Prelude{Stripped: s, MRCT: m}, Options{Workers: workers})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if d := diffResults(seq, par); d != "" {
-						t.Fatalf("parallel(workers=%d) vs DFS: %s", workers, d)
-					}
-				}
-				if nu := s.NUnique(); nu > 4*64 {
-					if got := len(partitionIDs(m, nu, 4, nil)) - 1; got < 2 {
-						t.Fatalf("N'=%d split into %d slice(s) at workers=4; the parallel walk went unexercised", nu, got)
-					}
 				}
 
 				// The ctz1 pack/unpack cycle must be invisible to both
@@ -367,15 +351,12 @@ func TestCrossCheckEnginesBitIdentical(t *testing.T) {
 	}
 }
 
-// The identifier-range partition degenerates on small or skewed traces:
-// a single identifier, fewer identifiers than one 64-bit word, a universe
-// that ends mid-word, and one identifier carrying most of the occurrence
-// mass all yield fewer slices than workers. Every slice must still be
-// word-aligned, the slices must cover [0, N') in order, and the result
-// must stay bit-identical to the one-slice walk and agree with the BCAT
-// reference.
+// Small or skewed traces — a single identifier, fewer identifiers than
+// one 64-bit word, a universe that ends mid-word, and one identifier
+// carrying most of the occurrence mass — are the edges of the row-set
+// bit vectors and of the DFS stop rule. The DFS miss counts must agree
+// with the BCAT reference on each.
 func TestCrossCheckPartitionEdgeCases(t *testing.T) {
-	raiseGOMAXPROCS(t, 8)
 	rng := rand.New(rand.NewSource(11))
 	skewed := trace.New(0)
 	for i := 0; i < 6000; i++ {
@@ -391,45 +372,22 @@ func TestCrossCheckPartitionEdgeCases(t *testing.T) {
 		"ragged-word": tracegen.Uniform(rng, 0, 200, 4000),
 		"heavy-id":    skewed,
 	}
-	const workers = 8
 	for name, tr := range cases {
 		t.Run(name, func(t *testing.T) {
 			s := trace.Strip(tr)
 			m := BuildMRCT(s)
-			nu := s.NUnique()
-			if name == "ragged-word" && nu%64 == 0 {
-				t.Fatalf("N' = %d is a multiple of 64", nu)
+			if name == "ragged-word" && s.NUnique()%64 == 0 {
+				t.Fatalf("N' = %d is a multiple of 64", s.NUnique())
 			}
-			b := partitionIDs(m, nu, workers, nil)
-			if got := len(b) - 1; got >= workers {
-				t.Fatalf("N'=%d: %d slices, want fewer than %d workers", nu, got, workers)
-			}
-			if b[0] != 0 || b[len(b)-1] != nu {
-				t.Fatalf("bounds %v do not span [0, %d)", b, nu)
-			}
-			for i := 1; i < len(b)-1; i++ {
-				if b[i]%64 != 0 || b[i] <= b[i-1] {
-					t.Fatalf("bounds %v: cut %d not word-aligned and increasing", b, b[i])
-				}
-			}
-			one, err := ExploreAnalytical(context.Background(), Prelude{Stripped: s, MRCT: m}, Options{Workers: 1})
+			dfs, err := ExploreAnalytical(context.Background(), Prelude{Stripped: s, MRCT: m}, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			// Miss counts, not histograms: a one-identifier tree still holds
 			// its level-1 rows, whose d = 0 occurrences the walk's stop rule
 			// omits (the documented Hist[0] undercount).
-			if !resultsIdentical(one, bcatReference(s, m)) {
+			if !resultsIdentical(dfs, bcatReference(s, m)) {
 				t.Fatal("DFS miss counts differ from the BCAT reference")
-			}
-			for _, w := range []int{2, 3, 4, workers} {
-				par, err := ExploreAnalytical(context.Background(), Prelude{Stripped: s, MRCT: m}, Options{Workers: w})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if d := diffResults(one, par); d != "" {
-					t.Fatalf("workers=%d vs workers=1: %s", w, d)
-				}
 			}
 		})
 	}

@@ -25,9 +25,7 @@
 // ExploreAnalytical runs that algorithm as the paper describes it, and
 // its postlude is the depth-first combined formulation of §2.4: BCAT
 // nodes are never materialised beyond the current root-to-leaf path, so
-// space stays linear in the trace. Options.Workers runs that one walk over
-// contiguous slices of the unique-reference identifiers in parallel and
-// adds up the histograms. BuildBCAT keeps the explicit tree of Algorithm 1
+// space stays linear in the trace; the walk is serial. BuildBCAT keeps the explicit tree of Algorithm 1
 // available for inspection (Figure 3) and as the tests' literal
 // Algorithm 3 reference. Tables 31/32 and Figure 4 time this engine.
 //
@@ -37,5 +35,5 @@
 // stripped trace yields every miss count and A_zero exactly, and an exact
 // Hist[0] besides (Σ Hist = N − N' at every depth). Options.Workers runs
 // the depths concurrently. Explore also hosts the sampled (SampleRate)
-// and non-LRU (Policy) modes.
+// modes, which run the same pass, and the non-LRU (Policy) modes.
 package core

@@ -3,9 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"github.com/example/cachedse/internal/bitset"
@@ -34,13 +34,13 @@ type Options struct {
 	// explores up to 2^AddrBits, where every unique reference has its own
 	// row.
 	MaxDepth int
-	// Workers sets the engine parallelism: 0 or 1 runs serially, n > 1
-	// runs up to n workers concurrently, and any negative value uses
-	// GOMAXPROCS. Requests beyond GOMAXPROCS are clamped to it. Explore's
-	// stack-distance engine hands each worker one depth at a time;
-	// ExploreAnalytical's DFS postlude splits the unique-reference
-	// identifiers into up to n slices walked concurrently. Results are
-	// bit-identical at every setting.
+	// Workers sets Explore's parallelism: 0 or 1 runs serially, n > 1
+	// runs up to n depths concurrently, and any negative value uses
+	// GOMAXPROCS. Requests beyond GOMAXPROCS are clamped to it. Every
+	// mode — exact, both sampling modes and the policy runs' LRU bound —
+	// hands each worker one depth's stack-distance pass at a time, so
+	// results are bit-identical at every setting. ExploreAnalytical is
+	// serial and rejects any other value than 0 or 1.
 	Workers int
 	// SampleRate switches the engine into SHARDS-style approximate mode:
 	// spatially hash-sample references at this rate, explore the sampled
@@ -281,15 +281,15 @@ func Explore(ctx context.Context, src Source, opts Options) (*Result, error) {
 // (Tables 31/32 and Figure 4 time it): the prelude strips src and builds
 // the conflict table (§2.2, Algorithm 2) unless src is a complete
 // Prelude, and the depth-first postlude (§2.3–2.4, Algorithm 3) folds
-// every level's |S ∩ C| histogram. It serves exact LRU only: any Policy
-// or SampleRate is rejected. Its miss counts and AZero equal Explore's;
-// see LevelResult.Hist for its Hist[0].
+// every level's |S ∩ C| histogram. It serves serial exact LRU only: any
+// Policy, SampleRate or Workers other than 0 or 1 is rejected. Its miss
+// counts and AZero equal Explore's; see LevelResult.Hist for its Hist[0].
 func ExploreAnalytical(ctx context.Context, src Source, opts Options) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if opts.Policy != PolicyLRU || opts.SampleRate != 0 {
-		return nil, fmt.Errorf("core: ExploreAnalytical is exact LRU only (policy %s, sample rate %v)", opts.Policy, opts.SampleRate)
+	if opts.Policy != PolicyLRU || opts.SampleRate != 0 || opts.Workers < 0 || opts.Workers > 1 {
+		return nil, fmt.Errorf("core: ExploreAnalytical is serial exact LRU only (policy %s, sample rate %v, workers %d)", opts.Policy, opts.SampleRate, opts.Workers)
 	}
 	sc := sharedScratch.Get(scratchHint(src))
 	defer sharedScratch.Put(sc)
@@ -302,20 +302,11 @@ func ExploreAnalytical(ctx context.Context, src Source, opts Options) (*Result, 
 
 // runPostlude runs the postlude (§2.3, Algorithm 3) over the resolved
 // (stripped, MRCT) pair in its depth-first, linear-space form (§2.4): the
-// BCAT is never materialised; each walk carries only the current
+// BCAT is never materialised; the walk carries only the current
 // root-to-leaf path of row sets, folding every level's |S ∩ C| histogram
-// on the way down.
-//
-// Options.Workers splits the unique-reference identifiers into contiguous
-// slices of about equal occurrence mass (partitionIDs). Every worker walks
-// the same tree over the shared zero/one planes, with its own per-level
-// (left, right) pairs, but folds only its slice's occurrences — into the
-// Result's histograms for the first slice and into private ones for the
-// rest, which merge by addition. The Result is therefore bit-identical at
-// every worker count, and Workers <= 1 is the one-slice case of the same
-// walk. Working memory comes from sc (nil gets a private throwaway
-// scratch). ExploreAnalytical and the sampled paths below rate 1 funnel
-// through here; like runStackDist it hits the core.postlude failpoint.
+// on the way down. It runs serially; working memory comes from sc. Only
+// ExploreAnalytical reaches it, and like runStackDist it hits the
+// core.postlude failpoint.
 func runPostlude(ctx context.Context, s *trace.Stripped, m *MRCT, opts Options, sc *Scratch) (*Result, error) {
 	if err := faultinject.Hit("core.postlude"); err != nil {
 		return nil, err
@@ -323,10 +314,7 @@ func runPostlude(ctx context.Context, s *trace.Stripped, m *MRCT, opts Options, 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if sc == nil {
-		sc = &Scratch{}
-	}
-	levels, err := levelCount(s, opts)
+	levels, err := levelCount(s.AddrBits(), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -335,7 +323,7 @@ func runPostlude(ctx context.Context, s *trace.Stripped, m *MRCT, opts Options, 
 	nu := s.NUnique()
 	if nu == 0 {
 		finalize(r)
-		endPostludeSpan(span, 1, r, nil, nil)
+		endPostludeSpan(span, r, nil, nil)
 		return r, nil
 	}
 	sc.resetSets()
@@ -344,62 +332,15 @@ func runPostlude(ctx context.Context, s *trace.Stripped, m *MRCT, opts Options, 
 	for id := 0; id < nu; id++ {
 		root.Add(id)
 	}
-	sc.bounds = partitionIDs(m, nu, opts.workerCount(), sc.bounds)
-	workers := sc.dfsWorkers(len(sc.bounds) - 1)
-	for i, w := range workers {
-		w.start(ctx, zo, m, levels, sc.bounds[i], sc.bounds[i+1], span != nil)
-		if i == 0 {
-			// The first slice folds straight into the Result; the others
-			// fold into private histograms merged after every walk ends.
-			for _, lr := range r.Levels {
-				w.hist = append(w.hist, lr.Hist)
-			}
-		} else {
-			w.privateHists(levels+1, m.maxCard+1)
-		}
-	}
-	if len(workers) == 1 {
-		workers[0].walk(root, 0)
-	} else {
-		var wg sync.WaitGroup
-		for _, w := range workers[1:] {
-			wg.Add(1)
-			go func(w *dfsWorker) {
-				defer wg.Done()
-				w.walk(root, 0)
-			}(w)
-		}
-		workers[0].walk(root, 0)
-		wg.Wait()
-	}
-	for _, w := range workers {
-		if w.chk.err != nil {
-			err = w.chk.err
-		}
-	}
+	w := &sc.dfs
+	w.start(ctx, zo, m, r, span != nil)
+	w.walk(root, 0)
+	err = w.chk.err
 	if err == nil {
-		for _, w := range workers[1:] {
-			for l, lr := range r.Levels {
-				for d, c := range w.hist[l] {
-					lr.Hist[d] += c
-				}
-			}
-		}
 		finalize(r)
-		if span != nil {
-			// Every worker walks the same rows, so the first one's counts
-			// stand for the tree; level time is summed work across workers.
-			for _, w := range workers[1:] {
-				for l, ns := range w.ns {
-					workers[0].ns[l] += ns
-				}
-			}
-			endPostludeSpan(span, len(workers), r, workers[0].rows, workers[0].ns)
-		}
+		endPostludeSpan(span, r, w.rows, w.ns)
 	}
-	for _, w := range workers {
-		w.finish()
-	}
+	w.finish()
 	if err != nil {
 		return nil, err
 	}
@@ -408,16 +349,11 @@ func runPostlude(ctx context.Context, s *trace.Stripped, m *MRCT, opts Options, 
 
 // stripWithSpan wraps the prelude's strip pass in a "strip" span when
 // ctx carries a recorder; otherwise it is trace.StripInto over sc's
-// pooled stripped form (sc nil falls back to a fresh Strip).
+// pooled stripped form.
 func stripWithSpan(ctx context.Context, t *trace.Trace, sc *Scratch) *trace.Stripped {
 	_, span := obs.StartSpan(ctx, "strip")
-	var s *trace.Stripped
-	if sc != nil {
-		s = trace.StripInto(t, &sc.stripped)
-		sc.note(s.N())
-	} else {
-		s = trace.Strip(t)
-	}
+	s := trace.StripInto(t, &sc.stripped)
+	sc.note(s.N())
 	if span != nil {
 		span.SetAttr("n", s.N())
 		span.SetAttr("n_unique", s.NUnique())
@@ -447,113 +383,60 @@ func (c *ctxCheck) stop() bool {
 	return c.err != nil
 }
 
-// partitionIDs splits the identifier range [0, nu) into at most workers
-// contiguous slices of about equal occurrence mass (the Σ count of each
-// identifier's MRCT runs), cutting only at 64-identifier word boundaries:
-// each cut goes at the boundary nearest its target, and never ahead of an
-// empty remainder. It returns the bounds in buf's storage: slice i is
-// [b[i], b[i+1]). The range yields fewer slices than workers when it has
-// fewer words, or when one word carries the mass of several slices; a
-// single worker needs no mass pass at all.
-func partitionIDs(m *MRCT, nu, workers int, buf []int) []int {
-	bounds := append(buf[:0], 0)
-	if workers > 1 && nu > 64 {
-		total := m.Occurrences()
-		next, mass := 1, 0 // the next cut targets next/workers of total
-		for lo := 0; lo < nu; lo += 64 {
-			word := 0
-			for _, os := range m.occ[lo:min(lo+64, nu)] {
-				for _, o := range os {
-					word += int(o.count)
-				}
-			}
-			// Cut ahead of this word when the target lies before its middle.
-			reached := func() bool { return next < workers && (2*mass+word)*workers >= 2*next*total }
-			if lo > 0 && mass < total && reached() {
-				bounds = append(bounds, lo)
-				for reached() {
-					next++
-				}
-			}
-			mass += word
-		}
-	}
-	return append(bounds, nu)
-}
-
-// dfsWorker is one slice's depth-first walk. The per-level (left, right)
-// pairs and the private histograms persist in the Scratch across
-// explorations; the run-scoped fields are set by start and dropped by
-// finish so a pooled worker pins neither a caller's MRCT nor a Result.
+// dfsWorker is the depth-first walk's state. The per-level (left,
+// right) pairs persist in the Scratch across explorations; the run-scoped
+// fields are set by start and dropped by finish so a pooled worker pins
+// neither a caller's MRCT nor a Result.
 type dfsWorker struct {
 	zo     []trace.ZeroOne
 	m      *MRCT
 	levels int
-	lo, hi int
 	chk    ctxCheck
 
 	// lefts/rights hold one child pair per level: when the walk returns
 	// to a level the previous children are dead, and And overwrites every
 	// word, so the pair is reused without clearing.
 	lefts, rights []*bitset.Set
-	hist          [][]int // per-level histograms, rows of flat or the Result's
-	flat          []int   // private histogram storage
+	r             *Result // the Result whose histograms the walk folds into
 	rows          []int   // per-level row counts (traced runs only)
 	ns            []int64 // per-level accumulate nanoseconds (traced runs only)
 }
 
-// start readies w for one walk over the identifier slice [lo, hi), with
-// per-level counters only when traced. The histogram rows are left empty
-// for the caller to point at the Result or at privateHists.
-func (w *dfsWorker) start(ctx context.Context, zo []trace.ZeroOne, m *MRCT, levels, lo, hi int, traced bool) {
-	w.zo, w.m, w.levels, w.lo, w.hi = zo, m, levels, lo, hi
+// start readies w for one walk folding into r, with per-level counters
+// only when traced.
+func (w *dfsWorker) start(ctx context.Context, zo []trace.ZeroOne, m *MRCT, r *Result, traced bool) {
+	w.zo, w.m, w.r, w.levels = zo, m, r, len(r.Levels)-1
 	w.chk = ctxCheck{ctx: ctx, every: 64}
-	for len(w.lefts) < levels {
+	for len(w.lefts) < w.levels {
 		w.lefts = append(w.lefts, nil)
 		w.rights = append(w.rights, nil)
 	}
-	w.hist = w.hist[:0]
 	w.rows, w.ns = nil, nil
 	if traced {
-		w.rows = make([]int, levels+1)
-		w.ns = make([]int64, levels+1)
-	}
-}
-
-// privateHists points w's histogram rows at its own zeroed storage.
-func (w *dfsWorker) privateHists(rows, width int) {
-	n := rows * width
-	if cap(w.flat) < n {
-		w.flat = make([]int, n)
-	}
-	w.flat = w.flat[:n]
-	clear(w.flat)
-	for l := 0; l < rows; l++ {
-		w.hist = append(w.hist, w.flat[l*width:(l+1)*width])
+		w.rows = make([]int, len(r.Levels))
+		w.ns = make([]int64, len(r.Levels))
 	}
 }
 
 // finish drops w's references to the run's inputs and outputs.
 func (w *dfsWorker) finish() {
-	w.zo, w.m, w.chk = nil, nil, ctxCheck{}
-	clear(w.hist)
+	w.zo, w.m, w.r, w.chk = nil, nil, nil, ctxCheck{}
 }
 
-// walk folds the slice of set's occurrences into the level's histogram,
-// then splits set on the level's index bit and recurses. The stop rule
-// reads the whole row set, never the slice, so every worker walks the
-// same tree.
+// walk folds set's occurrences into the level's histogram, then splits
+// set on the level's index bit and recurses.
 func (w *dfsWorker) walk(set *bitset.Set, level int) {
 	if w.chk.stop() {
 		return
 	}
+	hist := w.r.Levels[level].Hist
 	if w.ns != nil {
 		t0 := time.Now()
-		accumulateRangeHist(w.hist[level], set, w.m, w.lo, w.hi)
+		accumulateHist(hist, set, w.m)
 		w.ns[level] += time.Since(t0).Nanoseconds()
 		w.rows[level]++
 	} else {
-		accumulateRangeHist(w.hist[level], set, w.m, w.lo, w.hi)
+		accumulateHist(hist, set, w.m)
 	}
 	if level >= w.levels || set.Count() < 2 {
 		// A row with fewer than two references can never conflict at
@@ -580,7 +463,7 @@ func (w *dfsWorker) walk(set *bitset.Set, level int) {
 // the accumulated duration and refs/sec. Level spans are aggregates: the
 // DFS interleaves levels, so each child's duration is summed work, not a
 // contiguous wall-clock interval.
-func endPostludeSpan(span *obs.Span, workers int, r *Result, lvlRows []int, lvlNS []int64) {
+func endPostludeSpan(span *obs.Span, r *Result, lvlRows []int, lvlNS []int64) {
 	if span == nil {
 		return
 	}
@@ -610,7 +493,6 @@ func endPostludeSpan(span *obs.Span, workers int, r *Result, lvlRows []int, lvlN
 		span.Child("level", span.Start(), dur, attrs...)
 	}
 	span.SetAttr("algorithm", "dfs")
-	span.SetAttr("workers", workers)
 	span.SetAttr("levels", len(r.Levels))
 	span.SetAttr("refs", totalRefs)
 	if lvlRows != nil {
@@ -637,16 +519,13 @@ func newLevelResult(level int, m *MRCT) *LevelResult {
 	return &LevelResult{Depth: 1 << uint(level), Hist: make([]int, m.maxCard+1)}
 }
 
-// accumulateRangeHist folds the references of row set S whose
-// identifiers fall in [lo, hi) into a level's histogram: for every
-// non-cold occurrence of each such reference, bump hist[|S ∩ C|] by the
-// occurrence's multiplicity. The conflict sets still intersect with the
-// whole row set, so summing disjoint ranges reproduces the full fold
-// exactly. The intersection runs through the hybrid kernel: packed
-// word-wise AND+popcount for dense conflict sets, the sparse
-// element-probe kernel otherwise.
-func accumulateRangeHist(hist []int, set *bitset.Set, m *MRCT, lo, hi int) {
-	set.ForEachRange(lo, hi, func(e int) bool {
+// accumulateHist folds the references of row set S into a level's
+// histogram: for every non-cold occurrence of each reference, bump
+// hist[|S ∩ C|] by the occurrence's multiplicity. The intersection runs
+// through the hybrid kernel: packed word-wise AND+popcount for dense
+// conflict sets, the sparse element-probe kernel otherwise.
+func accumulateHist(hist []int, set *bitset.Set, m *MRCT) {
+	set.ForEach(func(e int) bool {
 		for _, o := range m.occ[e] {
 			var d int
 			if p := m.packed[o.set]; p != nil {
@@ -683,19 +562,16 @@ func finalize(r *Result) {
 	}
 }
 
-func levelCount(s *trace.Stripped, opts Options) (int, error) {
-	levels := s.AddrBits()
+// levelCount returns how many levels past depth 1 an exploration
+// covers: one per address bit, capped by opts.MaxDepth, which must be a
+// power of two when set.
+func levelCount(addrBits int, opts Options) (int, error) {
+	levels := addrBits
 	if opts.MaxDepth != 0 {
 		if opts.MaxDepth < 1 || opts.MaxDepth&(opts.MaxDepth-1) != 0 {
 			return 0, fmt.Errorf("core: MaxDepth %d is not a power of two >= 1", opts.MaxDepth)
 		}
-		cap := 0
-		for d := opts.MaxDepth; d > 1; d >>= 1 {
-			cap++
-		}
-		if cap < levels {
-			levels = cap
-		}
+		levels = min(levels, bits.Len(uint(opts.MaxDepth))-1)
 	}
 	return levels, nil
 }

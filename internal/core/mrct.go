@@ -93,35 +93,6 @@ func (m *MRCT) ConflictSets(id int) [][]int32 {
 	return out
 }
 
-// FilterOcc returns a view of the table that accumulates only the kept
-// identifiers' occurrences: the conflict sets, packed vectors and
-// cardinality bound are shared (intersections stay exact against the
-// full universe), while occ is emptied for dropped identifiers. The
-// sampled postlude runs over the view with every engine unchanged — it
-// simply skips the dropped identifiers' occurrences — which is what
-// makes the spatially-sampled estimator's conflict distances exact
-// rather than thinned. The second return is the kept non-cold
-// occurrence mass, the denominator of the estimator's mass scale.
-func (m *MRCT) FilterOcc(keep []bool) (*MRCT, int) {
-	out := &MRCT{
-		nunique: m.nunique,
-		sets:    m.sets,
-		packed:  m.packed,
-		maxCard: m.maxCard,
-		occ:     make([][]occurrence, len(m.occ)),
-	}
-	mass := 0
-	for id, os := range m.occ {
-		if id < len(keep) && keep[id] {
-			out.occ[id] = os
-			for _, o := range os {
-				mass += int(o.count)
-			}
-		}
-	}
-	return out, mass
-}
-
 // hashID mixes one identifier into a well-distributed 64-bit value
 // (splitmix64 finalizer). Conflict-set hashes combine these commutatively
 // so the dedup key never needs the set sorted.

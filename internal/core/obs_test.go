@@ -141,26 +141,21 @@ func TestExploreAnalyticalRecordsPhaseSpans(t *testing.T) {
 	}
 }
 
-// TestExploreParallelPostludeSpan checks the parallel engines' telemetry.
+// TestExploreParallelPostludeSpan checks the parallel engine's telemetry.
 // The stack-distance engine runs one depth per worker: its postlude span
 // carries the worker count and its per-level refs and steps equal the
-// serial run's. The paper engine's parallel walk has no "split" phase,
-// one postlude span carrying the slice count, and per-level children
-// whose rows and refs equal the serial run's — every worker walks the
-// same tree, and each occurrence is folded by exactly one slice. Its
-// level time is work summed across the workers, so refs/sec is a
-// per-core rate.
+// serial run's.
 func TestExploreParallelPostludeSpan(t *testing.T) {
 	raiseGOMAXPROCS(t, 4)
 	tr := obsTestTrace(4_000, 1<<9)
-	record := func(engine func(context.Context, Source, Options) (*Result, error), workers int) map[string][]obs.SpanRecord {
+	record := func(workers int) map[string][]obs.SpanRecord {
 		rec := obs.NewRecorder(0)
-		if _, err := engine(obs.WithRecorder(context.Background(), rec), tr, Options{Workers: workers}); err != nil {
+		if _, err := Explore(obs.WithRecorder(context.Background(), rec), tr, Options{Workers: workers}); err != nil {
 			t.Fatal(err)
 		}
 		return spansByName(rec.Export())
 	}
-	serial, par := record(Explore, 1), record(Explore, 4)
+	serial, par := record(1), record(4)
 	if got := par["postlude"][0].Attrs["workers"]; got != 4 {
 		t.Errorf("stackdist postlude workers = %v, want 4", got)
 	}
@@ -178,51 +173,6 @@ func TestExploreParallelPostludeSpan(t *testing.T) {
 		}
 	}
 
-	serial, par = record(ExploreAnalytical, 1), record(ExploreAnalytical, 4)
-	if n := len(par["split"]); n != 0 {
-		t.Fatalf("%d split spans, want none", n)
-	}
-	if len(par["postlude"]) != 1 {
-		t.Fatalf("%d postlude spans, want 1", len(par["postlude"]))
-	}
-	s := trace.Strip(tr)
-	wantWorkers := len(partitionIDs(BuildMRCT(s), s.NUnique(), 4, nil)) - 1
-	if wantWorkers < 2 {
-		t.Fatalf("test trace splits into %d slice(s); it must exercise the parallel walk", wantWorkers)
-	}
-	if got := par["postlude"][0].Attrs["workers"]; got != wantWorkers {
-		t.Errorf("postlude workers = %v, want %d", got, wantWorkers)
-	}
-	if got := serial["postlude"][0].Attrs["workers"]; got != 1 {
-		t.Errorf("serial postlude workers = %v, want 1", got)
-	}
-	sl, pl := serial["level"], par["level"]
-	if len(pl) != len(sl) {
-		t.Fatalf("%d parallel level spans, want %d", len(pl), len(sl))
-	}
-	sumRefs := func(levels []obs.SpanRecord) int {
-		total := 0
-		for _, lv := range levels {
-			total += lv.Attrs["refs"].(int)
-		}
-		return total
-	}
-	if got, want := sumRefs(pl), sumRefs(sl); got != want {
-		t.Errorf("parallel level refs sum to %d, serial to %d", got, want)
-	}
-	for i, lv := range pl {
-		if lv.Parent != par["postlude"][0].ID {
-			t.Errorf("level span parented to %d, want postlude", lv.Parent)
-		}
-		for _, key := range []string{"depth", "refs", "rows"} {
-			if lv.Attrs[key] != sl[i].Attrs[key] {
-				t.Errorf("level %d %s = %v, serial %v", i, key, lv.Attrs[key], sl[i].Attrs[key])
-			}
-		}
-		if _, ok := lv.Attrs["refs_per_sec"]; !ok && lv.Attrs["refs"].(int) > 0 {
-			t.Errorf("parallel level span %v lacks refs_per_sec", lv.Attrs)
-		}
-	}
 }
 
 // TestExploreSameResultWithRecorder guards against instrumentation ever

@@ -12,21 +12,22 @@ import (
 )
 
 // exploreSampled is the approximate twin of Explore, in one of two modes
-// keyed by the source shape:
+// keyed by the source shape. Both run the stack-distance engine:
 //
-//   - *trace.Trace — postlude sampling (sampling.ModePostlude): the full
-//     prelude runs (strip + MRCT over every reference), then the postlude
-//     accumulates only the spatially-sampled identifiers' occurrences.
-//     Conflict distances are exact; only occurrence mass is rescaled.
-//     This is the accurate mode, and since the postlude is the engine's
-//     O(N·N') bottleneck it still yields the ~1/R speedup.
+//   - *trace.Trace — postlude sampling (sampling.ModePostlude): every
+//     reference of the stripped trace moves the per-set stacks, so every
+//     distance is exact, but only the certainty and spatially-sampled
+//     identifiers' re-occurrences are counted, one histogram per stratum
+//     in the same pass; the sampled mass is rescaled. The pass costs
+//     about one exact explore, so this mode buys an error bar on a
+//     sample, not time.
 //
 //   - trace.RefReader — stream thinning (sampling.ModeStream): the
-//     filter drops references before the prelude, so memory scales with
-//     the sample — the mode for traces too large to materialise. Conflict
-//     sets are thinned too; the estimator stretches distances back and
-//     deconvolves small cardinalities, trading accuracy for the memory
-//     bound.
+//     filter drops references before the strip, so time and memory scale
+//     with the sample — the mode for traces too large to materialise.
+//     Conflict sets are thinned too; the estimator stretches distances
+//     back and deconvolves small cardinalities, trading accuracy for the
+//     memory bound.
 //
 // A Prelude source is rejected: it is already stripped, and sampling
 // after stripping would destroy the occurrence counts the estimator
@@ -61,10 +62,21 @@ func exploreSampled(ctx context.Context, src Source, opts Options) (*Result, err
 	}
 }
 
-// explorePostludeSampled runs the exact prelude and a spatially-sampled
-// postlude (sampling.ModePostlude), stratified so that heavy addresses —
-// whose all-or-nothing inclusion would dominate the estimator's variance
-// — are certainty units while the flat remainder is hash-sampled.
+// Postlude-mode strata of runStrata: a dropped identifier's
+// re-occurrences are counted nowhere, a certainty identifier's enter the
+// result unscaled, a sampled identifier's are mass-scaled.
+const (
+	stratumDropped = iota
+	stratumCert
+	stratumSampled
+	postludeStrata
+)
+
+// explorePostludeSampled runs one stratified stack-distance pass over the
+// whole stripped trace (sampling.ModePostlude), stratified so that heavy
+// addresses — whose all-or-nothing inclusion would dominate the
+// estimator's variance — are certainty units while the flat remainder is
+// hash-sampled.
 func explorePostludeSampled(ctx context.Context, tr *trace.Trace, cfg sampling.Config, opts Options, sc *Scratch) (*Result, error) {
 	s := stripWithSpan(ctx, tr, sc)
 	eff := cfg.EffectiveRate(s.NUnique())
@@ -107,20 +119,24 @@ func explorePostludeSampled(ctx context.Context, tr *trace.Trace, cfg sampling.C
 
 	cert, sampRate := sampling.PlanStrata(mass, eff*float64(s.NUnique()))
 	threshold := sampling.Threshold(sampRate)
-	keepSamp := make([]bool, s.NUnique())
+	stratum := make([]uint8, s.NUnique())
 	certUnique, keptUnique := 0, 0
+	certMass, sampMass := 0, 0
 	var keptRefs int64
-	for id := range keepSamp {
+	for id := range stratum {
 		switch {
 		case cert[id]:
+			stratum[id] = stratumCert
 			certUnique++
-			keptUnique++
-			keptRefs += int64(cnt[id])
+			certMass += mass[id]
 		case sampRate > 0 && sampling.Keep(s.Addr(id), seed, threshold):
-			keepSamp[id] = true
-			keptUnique++
-			keptRefs += int64(cnt[id])
+			stratum[id] = stratumSampled
+			sampMass += mass[id]
+		default:
+			continue
 		}
+		keptUnique++
+		keptRefs += int64(cnt[id])
 	}
 	est.KeptRefs = keptRefs
 	est.DroppedRefs = int64(s.N()) - keptRefs
@@ -140,39 +156,18 @@ func explorePostludeSampled(ctx context.Context, tr *trace.Trace, cfg sampling.C
 		span.End()
 	}
 
-	_, m, err := buildPreludeMRCT(ctx, s, sc)
+	rs, err := runStrata(ctx, s, opts, sc, stratum, postludeStrata)
 	if err != nil {
 		return nil, err
 	}
-
-	var certMass, sampMass int
-	levels := 0
 	if certUnique > 0 {
-		view, cm := m.FilterOcc(cert)
-		certRes, err := runPostlude(ctx, s, view, opts, sc)
-		if err != nil {
-			return nil, err
-		}
-		certMass = cm
-		est.CertHist = rawHists(certRes)
-		levels = len(certRes.Levels)
+		est.CertHist = rawHists(rs[stratumCert])
 	}
-	{
-		view, sm := m.FilterOcc(keepSamp)
-		sampRes, err := runPostlude(ctx, s, view, opts, sc)
-		if err != nil {
-			return nil, err
-		}
-		sampMass = sm
-		est.RawHist = rawHists(sampRes)
-		if len(sampRes.Levels) > levels {
-			levels = len(sampRes.Levels)
-		}
-	}
+	est.RawHist = rawHists(rs[stratumSampled])
 	est.CalibratePostlude(certMass, sampMass)
 
 	r := &Result{
-		Levels:  make([]*LevelResult, levels),
+		Levels:  make([]*LevelResult, len(rs[stratumSampled].Levels)),
 		N:       s.N(),
 		NUnique: s.NUnique(),
 		Sample:  est,
@@ -184,8 +179,9 @@ func explorePostludeSampled(ctx context.Context, tr *trace.Trace, cfg sampling.C
 	return r, nil
 }
 
-// exploreStreamSampled thins the reference stream before the prelude
-// (sampling.ModeStream).
+// exploreStreamSampled thins the reference stream before the strip
+// (sampling.ModeStream) and profiles the sampled trace with the exact
+// engine.
 func exploreStreamSampled(ctx context.Context, rr trace.RefReader, cfg sampling.Config, opts Options, sc *Scratch) (*Result, error) {
 	// A blind stream's unique count is unknown up front, so the MinUnique
 	// floor cannot engage and the requested rate is used as-is.
@@ -208,18 +204,7 @@ func exploreStreamSampled(ctx context.Context, rr trace.RefReader, cfg sampling.
 	if err != nil {
 		return nil, err
 	}
-
-	var sampled *Result
-	if eff >= 1 {
-		// Rate 1 keeps every reference: the exact engine answers, and
-		// rescaleStream passes its Result through untouched.
-		sampled, err = runStackDist(ctx, s, opts, sc)
-	} else {
-		var m *MRCT
-		if _, m, err = buildPreludeMRCT(ctx, s, sc); err == nil {
-			sampled, err = runPostlude(ctx, s, m, opts, sc)
-		}
-	}
+	sampled, err := runStackDist(ctx, s, opts, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -232,26 +217,12 @@ func exploreStreamSampled(ctx context.Context, rr trace.RefReader, cfg sampling.
 		DroppedRefs:   filter.Dropped(),
 	}
 	est.Calibrate(sampled.N, sampled.NUnique)
-	return rescaleStream(sampled, est, fullLevelCount(filter.AddrBits(), opts)), nil
-}
-
-// fullLevelCount mirrors levelCount but over the full stream's address
-// bits (which the filter observed, kept or dropped) instead of the
-// sampled strip's: the estimate must cover the same depth range the exact
-// engine would have explored, even if sampling dropped the
-// highest-addressed block.
-func fullLevelCount(addrBits int, opts Options) int {
-	levels := addrBits
-	if opts.MaxDepth != 0 {
-		cap := 0
-		for d := opts.MaxDepth; d > 1; d >>= 1 {
-			cap++
-		}
-		if cap < levels {
-			levels = cap
-		}
-	}
-	return levels
+	// The estimate covers the depth range the exact engine would have
+	// explored: the full stream's address bits, which the filter observed
+	// kept or dropped, even if sampling dropped the highest-addressed
+	// block. runStackDist has already validated MaxDepth.
+	fullLevels, _ := levelCount(filter.AddrBits(), opts)
+	return rescaleStream(sampled, est, fullLevels), nil
 }
 
 // rescaleStream maps a stream-sampled Result to full-trace magnitude:

@@ -235,3 +235,41 @@ func TestSampledExactModeUntouched(t *testing.T) {
 		t.Fatal("exact exploration carries a sampling estimate")
 	}
 }
+
+// Every sampled reference lands in exactly one bucket of its stratum's
+// raw histogram at every explored depth, Hist[0] included: in stream mode
+// Σ_d RawHist[l][d] = N_s − N'_s, the sampled trace's re-occurrences, and
+// in postlude mode the raw and certainty histograms together hold the
+// kept identifiers' re-occurrences.
+func TestSampledRawHistsConserveMass(t *testing.T) {
+	tr := tracegen.Zipf(rand.New(rand.NewSource(5)), 0x1000, 3000, 30000, 1.1)
+	opts := Options{SampleRate: 0.2, SampleFloor: -1}
+	for name, src := range map[string]Source{
+		"stream":   trace.RefReader(trace.NewReader(tr)),
+		"postlude": tr,
+	} {
+		res, err := Explore(context.Background(), src, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		est := res.Sample
+		if est.Exact() || len(est.RawHist) == 0 {
+			t.Fatalf("%s: the run was not sampled: %+v", name, est)
+		}
+		want := int(est.KeptRefs) - est.KeptUnique
+		for l, raw := range est.RawHist {
+			mass := 0
+			for _, c := range raw {
+				mass += c
+			}
+			if l < len(est.CertHist) {
+				for _, c := range est.CertHist[l] {
+					mass += c
+				}
+			}
+			if mass != want {
+				t.Errorf("%s: depth %d holds %d sampled re-occurrences, want KeptRefs − KeptUnique = %d", name, 1<<l, mass, want)
+			}
+		}
+	}
+}

@@ -13,10 +13,9 @@ import (
 // the stack-distance engine's per-level set numbering, stacks and
 // histograms, the MRCT build tables (dedup chains, epoch stamps, LRU
 // positions, conflict-set arenas, packed bit-vectors, occurrence
-// storage), the postlude's zero/one planes and root set, and each
-// postlude worker's per-level row sets and private histograms — lives in
-// a Scratch that a sync.Pool recycles across explorations. A warm pool drives the data
-// plane's allocs/op to the Result envelope alone
+// storage), and the DFS postlude's zero/one planes, root set and
+// per-level row sets — lives in a Scratch that a sync.Pool recycles
+// across explorations. A warm pool drives the data plane's allocs/op to the Result envelope alone
 // (BenchmarkSteadyStateAllocs and the alloc-smoke CI gate pin this),
 // which is what keeps GC pause time out of the p99 under sustained load.
 //
@@ -61,10 +60,8 @@ type Scratch struct {
 	sets      []*bitset.Set
 	setCursor int
 
-	// Postlude workers: the identifier-slice bounds and one pooled walk
-	// state per slice (pointers stable across runs).
-	bounds  []int
-	workers []*dfsWorker
+	// The DFS postlude's walk state.
+	dfs dfsWorker
 
 	// Stack-distance engine (see runStackDist): the bit-reversed sort
 	// keys, the identifier order they yield, one pooled pass state per
@@ -99,14 +96,6 @@ func (sc *Scratch) newSet(n int) *bitset.Set {
 	sc.sets = append(sc.sets, s)
 	sc.setCursor++
 	return s
-}
-
-// dfsWorkers returns n pooled postlude workers.
-func (sc *Scratch) dfsWorkers(n int) []*dfsWorker {
-	for len(sc.workers) < n {
-		sc.workers = append(sc.workers, &dfsWorker{})
-	}
-	return sc.workers[:n]
 }
 
 // stackWorkers returns n pooled stack-distance pass states.

@@ -85,19 +85,11 @@ func resolveSource(ctx context.Context, src Source, sc *Scratch) (*trace.Strippe
 	return buildPreludeMRCT(ctx, s, sc)
 }
 
-// buildPreludeMRCT finishes the prelude from a stripped trace. With a
-// scratch the conflict table is the pooled one (valid until the scratch
-// is reused); without, a fresh caller-owned table.
+// buildPreludeMRCT finishes the prelude from a stripped trace into sc's
+// pooled conflict table, valid until the scratch is reused.
 func buildPreludeMRCT(ctx context.Context, s *trace.Stripped, sc *Scratch) (*trace.Stripped, *MRCT, error) {
 	if err := faultinject.Hit("core.mrct"); err != nil {
 		return nil, nil, err
-	}
-	if sc == nil {
-		m, err := BuildMRCTContext(ctx, s)
-		if err != nil {
-			return nil, nil, err
-		}
-		return s, m, nil
 	}
 	if err := buildMRCT(ctx, s, sc, &sc.mrct); err != nil {
 		return nil, nil, err

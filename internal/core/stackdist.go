@@ -34,30 +34,43 @@ import (
 // bit-identical at every worker count. Per-level working memory comes
 // from sc; the Result never aliases it.
 func runStackDist(ctx context.Context, s *trace.Stripped, opts Options, sc *Scratch) (*Result, error) {
+	rs, err := runStrata(ctx, s, opts, sc, nil, 1)
+	if err != nil {
+		return nil, err
+	}
+	return rs[0], nil
+}
+
+// runStrata is runStackDist with every identifier's re-occurrences
+// folded into its stratum's histograms: identifier id belongs to stratum
+// stratum[id] < n, and a nil stratum puts every identifier in stratum 0.
+// Every reference still moves the stacks, so each distance is exact; the
+// strata only partition the histogram mass, and at every depth the n
+// Results' histograms sum, bucket by bucket, to runStackDist's. It
+// returns one Result per stratum.
+func runStrata(ctx context.Context, s *trace.Stripped, opts Options, sc *Scratch, stratum []uint8, n int) ([]*Result, error) {
 	if err := faultinject.Hit("core.postlude"); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	levels, err := levelCount(s, opts)
+	levels, err := levelCount(s.AddrBits(), opts)
 	if err != nil {
 		return nil, err
 	}
 	_, span := obs.StartSpan(ctx, "postlude")
-	r := &Result{NUnique: s.NUnique(), N: s.N(), Levels: make([]*LevelResult, levels+1)}
-	for l := range r.Levels {
-		r.Levels[l] = &LevelResult{Depth: 1 << uint(l)}
-	}
-	// Levels at and past `passes` hold no set with two identifiers: every
-	// re-occurrence is a distance-0 hit, so their histogram is [N − N']
-	// without a pass (Algorithm 1's stop criterion, restated).
-	passes := min(sc.orderByLowBits(s), levels+1)
-	for _, lr := range r.Levels[passes:] {
-		if reuse := s.N() - s.NUnique(); reuse > 0 {
-			lr.Hist = []int{reuse}
+	rs := make([]*Result, n)
+	for k := range rs {
+		rs[k] = &Result{NUnique: s.NUnique(), N: s.N(), Levels: make([]*LevelResult, levels+1)}
+		for l := range rs[k].Levels {
+			rs[k].Levels[l] = &LevelResult{Depth: 1 << uint(l)}
 		}
 	}
+	// Levels at and past `passes` hold no set with two identifiers: every
+	// re-occurrence is a distance-0 hit (Algorithm 1's stop criterion,
+	// restated), so they need no pass.
+	passes := min(sc.orderByLowBits(s), levels+1)
 	workers := sc.stackWorkers(min(opts.workerCount(), max(passes, 1)))
 	if span != nil {
 		sc.levelStats = slices.Grow(sc.levelStats[:0], passes)[:passes]
@@ -70,10 +83,13 @@ func runStackDist(ctx context.Context, s *trace.Stripped, opts Options, sc *Scra
 				return
 			}
 			t0 := time.Now()
-			steps, err := w.level(ctx, s, sc.order, l, r.Levels[l])
+			steps, err := w.level(ctx, s, sc.order, stratum, n, l)
 			if err != nil {
 				w.err = err
 				return
+			}
+			for k, r := range rs {
+				r.Levels[l].Hist = trimmedCopy(w.hist[k*w.width : (k+1)*w.width])
 			}
 			if span != nil {
 				sc.levelStats[l] = levelStat{start: t0, dur: time.Since(t0), steps: steps}
@@ -103,9 +119,28 @@ func runStackDist(ctx context.Context, s *trace.Stripped, opts Options, sc *Scra
 	if err != nil {
 		return nil, err
 	}
-	finalize(r)
-	endStackDistSpan(span, len(workers), r, sc.levelStats)
-	return r, nil
+	for k, r := range rs {
+		// A stratum's re-occurrences all land at distance 0 past the
+		// passes: its reuse is its depth-1 mass, or with no pass at all
+		// (N' <= 1) the whole trace's N − N', held by identifier 0.
+		reuse := 0
+		switch {
+		case passes > 0:
+			for _, c := range r.Levels[0].Hist {
+				reuse += c
+			}
+		case len(stratum) == 0 || int(stratum[0]) == k:
+			reuse = s.N() - s.NUnique()
+		}
+		if reuse > 0 {
+			for _, lr := range r.Levels[passes:] {
+				lr.Hist = []int{reuse}
+			}
+		}
+		finalize(r)
+	}
+	endStackDistSpan(span, len(workers), rs, sc.levelStats)
+	return rs, nil
 }
 
 // orderByLowBits sorts the identifiers by bit-reversed address into
@@ -139,88 +174,112 @@ func (sc *Scratch) orderByLowBits(s *trace.Stripped) int {
 // buffer is reset by level before use, so a worker carries nothing from
 // one level or exploration into the next.
 type stackWorker struct {
-	setOf []int32 // per identifier: dense set number at this level
-	top   []int32 // per set: one past its most recent entry in arena
-	arena []int32 // every set's LRU stack, least recent first
-	hist  []int   // stack-distance histogram of this level
+	slot  []stackSlot // per identifier: its set and histogram offset
+	top   []int32     // per set: one past its most recent entry in arena
+	arena []int32     // every set's LRU stack, least recent first
+	hist  []int       // the level's histograms, one width-long row per stratum
+	width int         // one past the largest distance: the widest set's size
 	err   error
 }
 
-// level runs one Mattson pass at depth 2^l and stores the level's
-// trimmed histogram, freshly allocated, in lr. order is the bit-reversed
-// identifier order of orderByLowBits. It returns the stack positions
-// scanned.
-func (w *stackWorker) level(ctx context.Context, s *trace.Stripped, order []int32, l int, lr *LevelResult) (int, error) {
+// stackSlot is what the pass loads per reference: the identifier's dense
+// set number at this level and the offset of its stratum's histogram row.
+type stackSlot struct {
+	set, off int32
+}
+
+// level runs one Mattson pass at depth 2^l, leaving in w.hist one
+// histogram row per stratum of runStrata (stratum nil is the single
+// stratum 0 of n == 1). order is the bit-reversed identifier order of
+// orderByLowBits. It returns the stack positions scanned.
+func (w *stackWorker) level(ctx context.Context, s *trace.Stripped, order []int32, stratum []uint8, n, l int) (int, error) {
 	nu := len(order)
 	mask := uint32(uint64(1)<<uint(l) - 1)
-	w.setOf = slices.Grow(w.setOf[:0], nu)[:nu]
+	w.slot = slices.Grow(w.slot[:0], nu)[:nu]
 	w.top = w.top[:0]
 	widest := 0
 	var prev uint32
 	for i, id := range order {
 		if key := s.Unique[id] & mask; i == 0 || key != prev {
-			if n := len(w.top); n > 0 {
-				widest = max(widest, i-int(w.top[n-1]))
+			if sets := len(w.top); sets > 0 {
+				widest = max(widest, i-int(w.top[sets-1]))
 			}
 			w.top = append(w.top, int32(i))
 			prev = key
 		}
-		w.setOf[id] = int32(len(w.top) - 1)
+		w.slot[id] = stackSlot{set: int32(len(w.top) - 1)}
 	}
 	widest = max(widest, nu-int(w.top[len(w.top)-1]))
+	for id, k := range stratum {
+		w.slot[id].off = int32(k) * int32(widest)
+	}
+	w.width = widest
 	w.arena = slices.Grow(w.arena[:0], nu)[:nu]
-	w.hist = slices.Grow(w.hist[:0], widest)[:widest]
+	w.hist = slices.Grow(w.hist[:0], n*widest)[:n*widest]
 	clear(w.hist)
 
-	setOf, top, arena, hist := w.setOf, w.top, w.arena, w.hist
-	seen, steps := 0, 0
-	for i, id := range s.IDs {
-		if i&4095 == 0 {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
+	slot, top, arena, hist := w.slot, w.top, w.arena, w.hist
+	seen := 0
+	for ids := s.IDs; len(ids) > 0; ids = ids[min(len(ids), 4096):] {
+		// Cancellation is checked once per chunk, which keeps the call
+		// out of the per-reference loop.
+		if err := ctx.Err(); err != nil {
+			return 0, err
 		}
-		x := int32(id)
-		if id >= seen {
-			// Identifiers number addresses in first-appearance order, so
-			// the next unseen one is a cold reference: push it.
-			if id != seen || seen >= nu {
-				return 0, errStripOrder
-			}
-			k := setOf[id]
-			arena[top[k]] = x
-			top[k]++
-			seen++
-			continue
-		}
-		// Walk down from the most recent entry, shifting each one passed
-		// up a slot, until x is found; x then takes the top slot.
-		t := top[setOf[id]]
-		j := t - 1
-		if carry := arena[j]; carry != x {
-			arena[j] = x
-			for {
-				j--
-				cur := arena[j]
-				arena[j] = carry
-				if cur == x {
-					break
+		for _, id := range ids[:min(len(ids), 4096)] {
+			x := int32(id)
+			if id >= seen {
+				// Identifiers number addresses in first-appearance order,
+				// so the next unseen one is a cold reference: push it.
+				if id != seen || seen >= nu {
+					return 0, errStripOrder
 				}
-				carry = cur
+				k := slot[id].set
+				arena[top[k]] = x
+				top[k]++
+				seen++
+				continue
 			}
+			// Walk down from the most recent entry, shifting each one
+			// passed up a slot, until x is found; x then takes the top
+			// slot.
+			sl := slot[id]
+			t := top[sl.set]
+			j := t - 1
+			if carry := arena[j]; carry != x {
+				arena[j] = x
+				for {
+					j--
+					cur := arena[j]
+					arena[j] = carry
+					if cur == x {
+						break
+					}
+					carry = cur
+				}
+			}
+			hist[sl.off+t-1-j]++
 		}
-		d := int(t - 1 - j)
-		hist[d]++
-		steps += d
 	}
+	// Each re-occurrence at distance d scanned d stack positions.
+	steps := 0
+	for i, c := range hist {
+		steps += i % widest * c
+	}
+	return steps, nil
+}
+
+// trimmedCopy returns a fresh copy of hist without its trailing zero
+// buckets, nil when every bucket is zero.
+func trimmedCopy(hist []int) []int {
 	end := len(hist)
 	for end > 0 && hist[end-1] == 0 {
 		end--
 	}
-	if end > 0 {
-		lr.Hist = append([]int(nil), hist[:end]...)
+	if end == 0 {
+		return nil
 	}
-	return steps, nil
+	return append([]int(nil), hist[:end]...)
 }
 
 // errStripOrder rejects a hand-built Stripped whose identifiers do not
@@ -239,15 +298,19 @@ type levelStat struct {
 // depth. A level that needed a pass carries its real interval, its
 // stack positions scanned (steps) and refs/sec; a level past the last
 // shared set was answered without one and carries zero time and steps.
-func endStackDistSpan(span *obs.Span, workers int, r *Result, stats []levelStat) {
+// A level's refs sum every stratum's histogram.
+func endStackDistSpan(span *obs.Span, workers int, rs []*Result, stats []levelStat) {
 	if span == nil {
 		return
 	}
+	levels := rs[0].Levels
 	totalRefs, totalSteps := 0, 0
-	for l, lr := range r.Levels {
+	for l, lr := range levels {
 		refs := 0
-		for _, c := range lr.Hist {
-			refs += c
+		for _, r := range rs {
+			for _, c := range r.Levels[l].Hist {
+				refs += c
+			}
 		}
 		totalRefs += refs
 		st := levelStat{start: span.Start()}
@@ -267,7 +330,7 @@ func endStackDistSpan(span *obs.Span, workers int, r *Result, stats []levelStat)
 	}
 	span.SetAttr("algorithm", "stackdist")
 	span.SetAttr("workers", workers)
-	span.SetAttr("levels", len(r.Levels))
+	span.SetAttr("levels", len(levels))
 	span.SetAttr("refs", totalRefs)
 	span.SetAttr("steps", totalSteps)
 	span.End()

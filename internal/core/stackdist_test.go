@@ -37,8 +37,9 @@ func fuzzTrace(data []byte) *trace.Trace {
 // engine: on every decoded trace, Explore's full histogram (Hist[0]
 // included) equals the Mattson one-pass oracle at every depth and sums to
 // N − N', its miss counts and AZero equal the paper engine's at every
-// (D, A), one cell agrees with the simulator, and the Result is identical
-// at every worker count.
+// (D, A), one cell agrees with the simulator, the Result is identical at
+// every worker count, and a stratified pass under a stratum assignment
+// drawn from the input partitions Explore's histograms exactly.
 func FuzzExploreMatchesOnePass(f *testing.F) {
 	raiseGOMAXPROCS(f, 8)
 	f.Add([]byte{})
@@ -101,6 +102,55 @@ func checkExploreMatchesOnePass(t *testing.T, data []byte) {
 		}
 		if !reflect.DeepEqual(par, exact) {
 			t.Fatalf("workers=%d: %s", w, diffResults(exact, par))
+		}
+	}
+	checkStrataPartition(t, data, exact)
+}
+
+// checkStrataPartition runs the stratified pass under a stratum
+// assignment drawn from data and requires it to partition exact, the
+// trace's Explore Result: at every depth the strata's histograms sum,
+// bucket by bucket, to exact's, and each stratum's mass is its
+// identifiers' re-occurrence count.
+func checkStrataPartition(t *testing.T, data []byte, exact *Result) {
+	t.Helper()
+	if len(data) == 0 {
+		return
+	}
+	s := trace.Strip(fuzzTrace(data))
+	n := 1 + int(data[len(data)-1])%3
+	stratum := make([]uint8, s.NUnique())
+	for id := range stratum {
+		stratum[id] = data[id%len(data)] % uint8(n)
+	}
+	reuse := make([]int, n)
+	for _, id := range s.IDs {
+		reuse[stratum[id]]++
+	}
+	for _, k := range stratum {
+		reuse[k]-- // each identifier's first reference is cold
+	}
+	rs, err := runStrata(context.Background(), s, Options{Workers: 3}, &Scratch{}, stratum, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for l, want := range exact.Levels {
+		sum := make([]int, len(want.Hist))
+		for k, r := range rs {
+			mass := 0
+			for d, c := range r.Levels[l].Hist {
+				if d >= len(sum) {
+					t.Fatalf("depth %d: stratum %d has Hist[%d] = %d past Explore's %v", want.Depth, k, d, c, want.Hist)
+				}
+				sum[d] += c
+				mass += c
+			}
+			if mass != reuse[k] {
+				t.Fatalf("depth %d: stratum %d holds %d re-occurrences, want %d", want.Depth, k, mass, reuse[k])
+			}
+		}
+		if !slices.Equal(sum, want.Hist) {
+			t.Fatalf("depth %d: strata sum to %v, Explore %v", want.Depth, sum, want.Hist)
 		}
 	}
 }
@@ -170,7 +220,7 @@ func TestExploreCancelMidLevel(t *testing.T) {
 	sc.orderByLowBits(s)
 	ctx := &tripCtx{Context: context.Background(), after: 1}
 	w := &stackWorker{}
-	if _, err := w.level(ctx, s, sc.order, 0, &LevelResult{}); !errors.Is(err, context.Canceled) {
+	if _, err := w.level(ctx, s, sc.order, nil, 1, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("level pass: err = %v, want context.Canceled", err)
 	}
 	if got := ctx.calls.Load(); got != 2 {
@@ -190,23 +240,37 @@ func TestExploreCancelMidLevel(t *testing.T) {
 
 // A hand-built Stripped whose identifiers are not numbered in
 // first-appearance order, or name an address it does not hold, fails
-// with a typed error instead of corrupting the stacks.
+// with a typed error instead of corrupting the stacks — also in a
+// stratified pass, whose per-identifier strata must not be indexed by an
+// identifier the pass has not validated.
 func TestExploreRejectsMisnumberedStripped(t *testing.T) {
-	for name, s := range map[string]*trace.Stripped{
-		"out-of-order": {Unique: []uint32{1, 2}, IDs: []int{1, 0, 1}},
-		"unknown-id":   {Unique: []uint32{4, 6}, IDs: []int{0, 1, 2, 0}},
+	for _, c := range []struct {
+		name     string
+		s        *trace.Stripped
+		stratify bool
+	}{
+		{"out-of-order", &trace.Stripped{Unique: []uint32{1, 2}, IDs: []int{1, 0, 1}}, false},
+		{"unknown-id", &trace.Stripped{Unique: []uint32{4, 6}, IDs: []int{0, 1, 2, 0}}, false},
+		{"out-of-order/stratified", &trace.Stripped{Unique: []uint32{1, 2}, IDs: []int{1, 0, 1}}, true},
+		{"unknown-id/stratified", &trace.Stripped{Unique: []uint32{4, 6}, IDs: []int{0, 1, 2, 0}}, true},
 	} {
-		if _, err := Explore(context.Background(), Prelude{Stripped: s}, Options{}); !errors.Is(err, errStripOrder) {
-			t.Errorf("%s: err = %v, want errStripOrder", name, err)
+		var err error
+		if c.stratify {
+			_, err = runStrata(context.Background(), c.s, Options{}, &Scratch{}, []uint8{stratumCert, stratumSampled}, postludeStrata)
+		} else {
+			_, err = Explore(context.Background(), Prelude{Stripped: c.s}, Options{})
+		}
+		if !errors.Is(err, errStripOrder) {
+			t.Errorf("%s: err = %v, want errStripOrder", c.name, err)
 		}
 	}
 }
 
-// The paper engine serves exact LRU only: a policy or sampling request
-// is an error, not a silently exact answer.
+// The paper engine serves serial exact LRU only: a policy, sampling or
+// parallel request is an error, not a silently exact or serial answer.
 func TestExploreAnalyticalRejectsNonLRU(t *testing.T) {
 	tr := trace.FromAddrs(trace.DataRead, []uint32{1, 2, 1})
-	for _, opts := range []Options{{Policy: PolicyFIFO}, {SampleRate: 0.5}} {
+	for _, opts := range []Options{{Policy: PolicyFIFO}, {SampleRate: 0.5}, {Workers: 2}, {Workers: -1}} {
 		if _, err := ExploreAnalytical(context.Background(), tr, opts); err == nil {
 			t.Errorf("ExploreAnalytical accepted %+v", opts)
 		}

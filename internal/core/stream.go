@@ -9,23 +9,15 @@ import (
 
 // stripReaderWithSpan runs the streaming strip pass over a reference
 // stream inside a "strip" span when ctx carries a recorder. The stream is
-// consumed to completion; only the stripped form and one decoder block
-// are ever resident, never the full reference slice.
+// consumed to completion into sc's pooled stripped form; only it and one
+// decoder block are ever resident, never the full reference slice.
 func stripReaderWithSpan(ctx context.Context, rr trace.RefReader, sc *Scratch) (*trace.Stripped, error) {
 	_, span := obs.StartSpan(ctx, "strip")
-	var s *trace.Stripped
-	var err error
-	if sc != nil {
-		s, err = trace.StripReaderInto(rr, &sc.stripped)
-	} else {
-		s, err = trace.StripReader(rr)
-	}
+	s, err := trace.StripReaderInto(rr, &sc.stripped)
 	if err != nil {
 		return nil, err
 	}
-	if sc != nil {
-		sc.note(s.N())
-	}
+	sc.note(s.N())
 	if span != nil {
 		span.SetAttr("n", s.N())
 		span.SetAttr("n_unique", s.NUnique())

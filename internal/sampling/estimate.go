@@ -9,12 +9,12 @@ import "math"
 // from. It is attached to core.Result, persisted with cached results and
 // serialized into API responses, so every field is exported with a stable
 // JSON name.
-// Estimator modes. ModePostlude samples which addresses' occurrences the
-// postlude accumulates over exact conflict sets built from the full
-// trace — conflict distances are exact, only occurrence mass is scaled,
-// and intervals are plain Horvitz-Thompson. ModeStream thins the
-// reference stream itself before the prelude — memory scales with the
-// sample, but conflict sets are thinned too, so distances must be
+// Estimator modes. ModePostlude samples which addresses' re-occurrences
+// the engine counts while every reference of the full trace still moves
+// its stacks — conflict distances are exact, only occurrence mass is
+// scaled, and intervals are plain Horvitz-Thompson. ModeStream thins the
+// reference stream itself before the strip — time and memory scale with
+// the sample, but conflict sets are thinned too, so distances must be
 // stretched back and small cardinalities deconvolved, with the accuracy
 // caveats DESIGN.md §10 spells out.
 const (
