@@ -6,6 +6,7 @@
 package bench
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -682,3 +683,57 @@ func BenchmarkSpaceExplore(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkIngest measures the per-reference passes of internal/trace that
+// a trace upload and its first exploration run, on the PowerStone compress
+// instruction trace (N ≈ 248k, N' < 100): decoding its Dinero text and its
+// ctz1 image through trace.Decode, as the service decodes an upload body;
+// ComputeStats, which the trace store runs on insert; and the strip into a
+// reused Stripped, as the pooled engine runs it. SetBytes is the encoded
+// size for the decoders and the in-memory reference slice for the passes
+// over a decoded trace; ns/ref divides the time by N.
+func BenchmarkIngest(b *testing.B) {
+	tr := suite(b).Get("compress").Instr
+	var din, ctz1 bytes.Buffer
+	if err := trace.WriteText(&din, tr); err != nil {
+		b.Fatal(err)
+	}
+	if err := trace.WriteCTZ1(&ctz1, tr); err != nil {
+		b.Fatal(err)
+	}
+	refBytes := int64(tr.Len()) * 8 // sizeof(trace.Ref)
+	decode := func(data []byte) (int, error) {
+		t, err := trace.Decode(bytes.NewReader(data), trace.Limits{})
+		if err != nil {
+			return 0, err
+		}
+		return t.Len(), nil
+	}
+	var stripped trace.Stripped
+	for _, c := range []struct {
+		name  string
+		bytes int64
+		run   func() (int, error) // a size from the result, kept in ingestSink
+	}{
+		{"din", int64(din.Len()), func() (int, error) { return decode(din.Bytes()) }},
+		{"ctz1", int64(ctz1.Len()), func() (int, error) { return decode(ctz1.Bytes()) }},
+		{"stats", refBytes, func() (int, error) { return trace.ComputeStats(tr).NUnique, nil }},
+		{"strip", refBytes, func() (int, error) { return trace.StripInto(tr, &stripped).NUnique(), nil }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(c.bytes)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out, err := c.run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				ingestSink = out
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tr.Len()), "ns/ref")
+		})
+	}
+}
+
+// ingestSink keeps BenchmarkIngest's results live.
+var ingestSink int

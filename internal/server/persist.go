@@ -52,7 +52,7 @@ func (s *Server) warmStart() {
 			_, _ = s.persist.Delete(e.Key)
 			continue
 		}
-		s.store.Add(tr)
+		s.store.Add(TraceDigest(tr), tr)
 	}
 	for _, e := range s.persist.List(resultKeyPrefix) {
 		data, err := s.persist.Get(e.Key)
@@ -136,7 +136,7 @@ func (s *Server) lookupTrace(digest string) (*TraceEntry, bool) {
 		// dropped the entry). Disk-backed nodes get the same behavior
 		// through the tracestore's read-repair fallback below.
 		if tr, ok := s.fetchTraceFromPeers(digest); ok {
-			e, _ := s.store.Add(tr)
+			e, _ := s.store.Add(digest, tr) // the fetch checked the digest
 			return e, true
 		}
 		return nil, false
@@ -149,7 +149,7 @@ func (s *Server) lookupTrace(digest string) (*TraceEntry, bool) {
 		}
 		return nil, false
 	}
-	e, _ := s.store.Add(tr)
+	e, _ := s.store.Add(TraceDigest(tr), tr)
 	return e, true
 }
 

@@ -87,10 +87,11 @@ func NewTraceStore(max int) *TraceStore {
 	}
 }
 
-// Add registers a trace, returning its entry and whether it was already
-// present (uploads are idempotent by content).
-func (s *TraceStore) Add(t *trace.Trace) (entry *TraceEntry, existed bool) {
-	digest := TraceDigest(t)
+// Add registers a trace under its digest, which must be TraceDigest(t),
+// returning its entry and whether it was already present (uploads are
+// idempotent by content). Callers pass the digest in because they have
+// usually computed it already, and hashing is a full pass over the trace.
+func (s *TraceStore) Add(digest string, t *trace.Trace) (entry *TraceEntry, existed bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.byDigest[digest]; ok {

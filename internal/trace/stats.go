@@ -20,22 +20,24 @@ type Stats struct {
 // immediately preceding address; everything else is a miss, and a miss is
 // cold the first time the address is ever seen. The direct computation here
 // is cross-checked against the full cache simulator in integration tests.
+// Each miss costs one probe of the strip's address index, usually inline.
 func ComputeStats(t *Trace) Stats {
 	s := Stats{N: t.Len()}
-	seen := make(map[uint32]bool, 1024)
+	var seen addrIndex
+	seen.reset(-1)
 	haveLast := false
 	var last uint32
 	for _, r := range t.Refs {
 		if haveLast && r.Addr == last {
-			// hit
-		} else if !seen[r.Addr] {
-			// cold miss: excluded from MaxMisses
-		} else {
-			s.MaxMisses++
+			continue // hit
 		}
-		seen[r.Addr] = true
 		last, haveLast = r.Addr, true
+		if _, ok := seen.atHome(r.Addr); ok {
+			s.MaxMisses++
+		} else if _, cold := seen.put(r.Addr); !cold {
+			s.MaxMisses++ // seen, but displaced from its home slot
+		}
 	}
-	s.NUnique = len(seen)
+	s.NUnique = seen.n
 	return s
 }

@@ -55,41 +55,6 @@ func StripReaderInto(rr RefReader, s *Stripped) (*Stripped, error) {
 		if err != nil {
 			return nil, err
 		}
-		id, ok := s.index[r.Addr]
-		if !ok {
-			id = len(s.Unique)
-			s.index[r.Addr] = id
-			s.Unique = append(s.Unique, r.Addr)
-		}
-		s.IDs = append(s.IDs, id)
-	}
-}
-
-// ComputeStatsReader derives the Table 5/6 statistics from a reference
-// stream, mirroring ComputeStats without needing the trace in memory.
-func ComputeStatsReader(rr RefReader) (Stats, error) {
-	var s Stats
-	seen := make(map[uint32]bool, 1024)
-	haveLast := false
-	var last uint32
-	for {
-		r, err := rr.Next()
-		if err == io.EOF {
-			s.NUnique = len(seen)
-			return s, nil
-		}
-		if err != nil {
-			return Stats{}, err
-		}
-		s.N++
-		if haveLast && r.Addr == last {
-			// hit
-		} else if !seen[r.Addr] {
-			// cold miss: excluded from MaxMisses
-		} else {
-			s.MaxMisses++
-		}
-		seen[r.Addr] = true
-		last, haveLast = r.Addr, true
+		s.add(r.Addr)
 	}
 }

@@ -60,7 +60,7 @@ while [ $# -gt 0 ]; do
 done
 
 benchtime=${BENCHTIME:-3x}
-pattern=${PATTERN:-'^(BenchmarkTable31|BenchmarkTable32|BenchmarkFigure4|BenchmarkSampledExplore|BenchmarkAblationMRCTBuild|BenchmarkAblationStackDistVsAnalytical|BenchmarkMicroIntersect|BenchmarkMicroMRCTDedup)$'}
+pattern=${PATTERN:-'^(BenchmarkTable31|BenchmarkTable32|BenchmarkFigure4|BenchmarkSampledExplore|BenchmarkAblationMRCTBuild|BenchmarkAblationStackDistVsAnalytical|BenchmarkMicroIntersect|BenchmarkMicroMRCTDedup|BenchmarkIngest)$'}
 
 raw="$out.txt"
 go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -count "$count" -benchmem . | tee "$raw"
