@@ -12,6 +12,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime/metrics"
+	"sort"
 	"testing"
 
 	"github.com/example/cachedse/internal/bitset"
@@ -595,16 +596,14 @@ func BenchmarkReportRender(b *testing.B) {
 	}
 }
 
-// BenchmarkSampledExplore prices both sampling modes against the exact
+// BenchmarkSampledExplore prices postlude sampling against the exact
 // engine on the compiled compress kernel's instruction stream
 // (internal/minicbench), at two rates. The MinUnique floor is disabled
 // so the literal rates apply — the trace's N' is far below the default
 // floor, which would (correctly) clamp these runs back to exact; the
-// rows quantify the cost model, not a recommended configuration.
-// stream-R thins a trace.RefReader before the strip, so its time scales
-// with R. postlude-R explores the in-memory trace: its stratified pass
-// moves the stacks for every reference, so it costs about one exact
-// explore at every rate and buys an error bar, not time.
+// rows quantify the cost model, not a recommended configuration. The
+// stratified pass moves the stacks for every reference, so it costs
+// about one exact explore at every rate and buys an error bar, not time.
 func BenchmarkSampledExplore(b *testing.B) {
 	run, err := minicbench.Compress.Run()
 	if err != nil {
@@ -620,13 +619,6 @@ func BenchmarkSampledExplore(b *testing.B) {
 	})
 	for _, rate := range []float64{0.1, 0.01} {
 		opts := core.Options{SampleRate: rate, SampleFloor: -1}
-		b.Run(fmt.Sprintf("stream-%g", rate), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Explore(context.Background(), trace.RefReader(trace.NewReader(tr)), opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 		b.Run(fmt.Sprintf("postlude-%g", rate), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := core.Explore(context.Background(), tr, opts); err != nil {
@@ -635,6 +627,87 @@ func BenchmarkSampledExplore(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkSampledAccuracy is the sampled estimator's accuracy panel. Per
+// trace and rate, with the MinUnique floor off so the literal rate
+// applies, it reports over the (depth, assoc) cells whose exact non-cold
+// miss count is at least 1000: the median and p90 relative error of the
+// scaled miss count, and the share of cells whose 95% interval holds the
+// exact count (nominally 0.95). The four traces are a 400k-reference
+// zipfian workload over 20k addresses, the g3fax and compress data
+// streams, and the 40k-reference, 1000-unique synthetic trace of
+// BenchmarkAblationStackDistVsAnalytical. The seeds are fixed, so the
+// metrics are deterministic; ns/op prices one sampled explore, the exact
+// baseline being computed once outside the timer.
+func BenchmarkSampledAccuracy(b *testing.B) {
+	s := suite(b)
+	synth, err := tracegen.Sized(rand.New(rand.NewSource(37)), 40000, 1000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	workloads := []struct {
+		name string
+		tr   *trace.Trace
+	}{
+		{"zipf-400k", tracegen.Zipf(rand.New(rand.NewSource(17)), 0x1000, 20000, 400000, 1.2)},
+		{"g3fax", s.Get("g3fax").Data},
+		{"compress", s.Get("compress").Data},
+		{"sized-40000-1000", synth},
+	}
+	for _, w := range workloads {
+		exact, err := core.Explore(context.Background(), w.tr, core.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, rate := range []float64{0.5, 0.2, 0.05, 0.01} {
+			opts := core.Options{SampleRate: rate, SampleFloor: -1}
+			b.Run(fmt.Sprintf("%s/%g", w.name, rate), func(b *testing.B) {
+				var res *core.Result
+				for i := 0; i < b.N; i++ {
+					if res, err = core.Explore(context.Background(), w.tr, opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+				median, p90, coverage, cells := sampledAccuracy(exact, res, 1000)
+				b.ReportMetric(median, "median-rel-err")
+				b.ReportMetric(p90, "p90-rel-err")
+				b.ReportMetric(coverage, "ci95-coverage")
+				b.ReportMetric(float64(cells), "cells")
+			})
+		}
+	}
+}
+
+// sampledAccuracy compares a sampled result with the exact one over the
+// cells whose exact miss count is at least minMisses, returning the
+// nearest-rank median and p90 of the relative errors, the share of cells
+// whose CI95 holds the exact count, and the number of cells.
+func sampledAccuracy(exact, sampled *core.Result, minMisses int) (median, p90, coverage float64, cells int) {
+	var errs []float64
+	covered := 0
+	for lvl, l := range exact.Levels {
+		for assoc := 1; assoc < len(l.Hist); assoc++ {
+			want := l.Misses(assoc)
+			if want < minMisses {
+				continue
+			}
+			got := sampled.Levels[lvl].Misses(assoc)
+			errs = append(errs, math.Abs(float64(got-want))/float64(want))
+			if lo, hi := sampled.Sample.CI95(lvl, assoc, got); lo <= want && want <= hi {
+				covered++
+			}
+		}
+	}
+	if len(errs) == 0 {
+		return 0, 0, 0, 0
+	}
+	sort.Float64s(errs)
+	rank := func(q float64) float64 {
+		i := int(q*float64(len(errs))+0.5) - 1
+		return errs[max(0, min(i, len(errs)-1))]
+	}
+	return rank(0.5), rank(0.9), float64(covered) / float64(len(errs)), len(errs)
 }
 
 // BenchmarkSpaceExplore measures the design-space evaluator on

@@ -35,5 +35,7 @@
 // stripped trace yields every miss count and A_zero exactly, and an exact
 // Hist[0] besides (Σ Hist = N − N' at every depth). Options.Workers runs
 // the depths concurrently. Explore also hosts the sampled (SampleRate)
-// modes, which run the same pass, and the non-LRU (Policy) modes.
+// mode, which runs the same pass over an in-memory trace, and the
+// non-LRU (Policy) modes. Neither engine streams: a Source is a
+// *trace.Trace or a Prelude.
 package core

@@ -37,20 +37,21 @@ type Options struct {
 	// Workers sets Explore's parallelism: 0 or 1 runs serially, n > 1
 	// runs up to n depths concurrently, and any negative value uses
 	// GOMAXPROCS. Requests beyond GOMAXPROCS are clamped to it. Every
-	// mode — exact, both sampling modes and the policy runs' LRU bound —
+	// mode — exact, sampled and the policy runs' LRU bound —
 	// hands each worker one depth's stack-distance pass at a time, so
 	// results are bit-identical at every setting. ExploreAnalytical is
 	// serial and rejects any other value than 0 or 1.
 	Workers int
 	// SampleRate switches the engine into SHARDS-style approximate mode:
-	// spatially hash-sample references at this rate, explore the sampled
-	// trace and rescale the miss counts back to full-trace magnitude with
-	// confidence bounds (Result.Sample). Zero is exact mode — the default
-	// path, byte-identical to an engine without sampling. Valid rates lie
-	// in (0, 1]; anything else fails with *sampling.ErrRate.
+	// count the re-occurrences of addresses spatially hash-sampled at
+	// this rate (every reference still moves the stacks) and rescale the
+	// miss counts back to full-trace magnitude with confidence bounds
+	// (Result.Sample). It needs a *trace.Trace source and costs about one
+	// exact explore: it buys an error bar, not time. Zero is exact mode —
+	// the default path, byte-identical to an engine without sampling.
+	// Valid rates lie in (0, 1]; anything else fails with
+	// *sampling.ErrRate.
 	SampleRate float64
-	// SampleSeed perturbs the sampling hash; zero uses sampling.DefaultSeed.
-	SampleSeed uint64
 	// SampleFloor floors the expected sampled unique-reference count
 	// (sampling.Config.MinUnique): zero means sampling.DefaultMinUnique,
 	// negative disables the floor.
@@ -248,12 +249,10 @@ func (r *Result) ParetoSet(k int) []Instance {
 //
 // The exact LRU path strips the trace and runs the per-depth
 // stack-distance engine (runStackDist); no conflict table is built.
-// Source accepts three shapes:
+// Source accepts two shapes:
 //
-//	*trace.Trace     — stripped in memory
-//	Prelude          — its Stripped is used as is; its MRCT is ignored
-//	trace.RefReader  — streaming: the strip pass consumes the reference
-//	                   stream without materialising a *trace.Trace
+//	*trace.Trace  — stripped in memory
+//	Prelude       — its Stripped is used as is; its MRCT is ignored
 //
 // Options.Workers runs that many depths concurrently; results are
 // bit-identical at every setting. ExploreAnalytical runs the paper's

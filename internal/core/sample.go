@@ -11,29 +11,16 @@ import (
 	"github.com/example/cachedse/internal/trace"
 )
 
-// exploreSampled is the approximate twin of Explore, in one of two modes
-// keyed by the source shape. Both run the stack-distance engine:
-//
-//   - *trace.Trace — postlude sampling (sampling.ModePostlude): every
-//     reference of the stripped trace moves the per-set stacks, so every
-//     distance is exact, but only the certainty and spatially-sampled
-//     identifiers' re-occurrences are counted, one histogram per stratum
-//     in the same pass; the sampled mass is rescaled. The pass costs
-//     about one exact explore, so this mode buys an error bar on a
-//     sample, not time.
-//
-//   - trace.RefReader — stream thinning (sampling.ModeStream): the
-//     filter drops references before the strip, so time and memory scale
-//     with the sample — the mode for traces too large to materialise.
-//     Conflict sets are thinned too; the estimator stretches distances
-//     back and deconvolves small cardinalities, trading accuracy for the
-//     memory bound.
-//
-// A Prelude source is rejected: it is already stripped, and sampling
-// after stripping would destroy the occurrence counts the estimator
-// calibrates against.
+// exploreSampled is the approximate twin of Explore (postlude sampling,
+// sampling.ModePostlude). It runs the stack-distance engine over a
+// *trace.Trace: every reference of the stripped trace moves the per-set
+// stacks, so every distance is exact, but only the certainty and
+// spatially-sampled identifiers' re-occurrences are counted, one
+// histogram per stratum in the same pass; the sampled mass is rescaled.
+// The pass costs about one exact explore, so sampling buys an error bar
+// on a sample, not time. Only a *trace.Trace source is accepted.
 func exploreSampled(ctx context.Context, src Source, opts Options) (*Result, error) {
-	cfg := sampling.Config{Rate: opts.SampleRate, Seed: opts.SampleSeed, MinUnique: opts.SampleFloor}
+	cfg := sampling.Config{Rate: opts.SampleRate, MinUnique: opts.SampleFloor}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -48,17 +35,12 @@ func exploreSampled(ctx context.Context, src Source, opts Options) (*Result, err
 			return nil, fmt.Errorf("core: Explore given a nil *trace.Trace")
 		}
 		return explorePostludeSampled(ctx, v, cfg, opts, sc)
-	case trace.RefReader:
-		if v == nil {
-			return nil, fmt.Errorf("core: Explore given a nil trace.RefReader")
-		}
-		return exploreStreamSampled(ctx, v, cfg, opts, sc)
 	case Prelude:
 		return nil, fmt.Errorf("core: sampled exploration needs a raw reference source, not a pre-built Prelude")
 	case nil:
 		return nil, fmt.Errorf("core: Explore given a nil Source")
 	default:
-		return nil, fmt.Errorf("core: unsupported Source type %T for sampled exploration (want *trace.Trace or trace.RefReader)", src)
+		return nil, fmt.Errorf("core: unsupported Source type %T for sampled exploration (want *trace.Trace)", src)
 	}
 }
 
@@ -72,15 +54,14 @@ const (
 	postludeStrata
 )
 
-// explorePostludeSampled runs one stratified stack-distance pass over the
-// whole stripped trace (sampling.ModePostlude), stratified so that heavy
-// addresses — whose all-or-nothing inclusion would dominate the
-// estimator's variance — are certainty units while the flat remainder is
-// hash-sampled.
+// explorePostludeSampled runs one stack-distance pass over the whole
+// stripped trace, stratified so that heavy addresses — whose
+// all-or-nothing inclusion would dominate the estimator's variance — are
+// certainty units while the flat remainder is hash-sampled.
 func explorePostludeSampled(ctx context.Context, tr *trace.Trace, cfg sampling.Config, opts Options, sc *Scratch) (*Result, error) {
 	s := stripWithSpan(ctx, tr, sc)
 	eff := cfg.EffectiveRate(s.NUnique())
-	seed := cfg.SeedValue()
+	const seed = sampling.DefaultSeed
 
 	// Per-identifier non-cold occurrence masses drive the stratum plan.
 	cnt := make([]int, s.NUnique())
@@ -177,92 +158,6 @@ func explorePostludeSampled(ctx context.Context, tr *trace.Trace, cfg sampling.C
 	}
 	finalize(r)
 	return r, nil
-}
-
-// exploreStreamSampled thins the reference stream before the strip
-// (sampling.ModeStream) and profiles the sampled trace with the exact
-// engine.
-func exploreStreamSampled(ctx context.Context, rr trace.RefReader, cfg sampling.Config, opts Options, sc *Scratch) (*Result, error) {
-	// A blind stream's unique count is unknown up front, so the MinUnique
-	// floor cannot engage and the requested rate is used as-is.
-	eff := cfg.EffectiveRate(0)
-	filter := sampling.NewFilter(rr, eff, cfg.SeedValue())
-
-	// The sample span wraps the filtered strip: filtering happens lazily
-	// as the strip pass pulls references through, so kept/dropped totals
-	// are only final once the strip completes.
-	_, span := obs.StartSpan(ctx, "sample")
-	s, err := stripReaderWithSpan(ctx, filter, sc)
-	if span != nil {
-		span.SetAttr("mode", sampling.ModeStream)
-		span.SetAttr("requested_rate", cfg.Rate)
-		span.SetAttr("effective_rate", eff)
-		span.SetAttr("kept", filter.Kept())
-		span.SetAttr("dropped", filter.Dropped())
-		span.End()
-	}
-	if err != nil {
-		return nil, err
-	}
-	sampled, err := runStackDist(ctx, s, opts, sc)
-	if err != nil {
-		return nil, err
-	}
-
-	est := &sampling.Estimate{
-		RequestedRate: cfg.Rate,
-		EffectiveRate: eff,
-		Seed:          cfg.SeedValue(),
-		KeptRefs:      filter.Kept(),
-		DroppedRefs:   filter.Dropped(),
-	}
-	est.Calibrate(sampled.N, sampled.NUnique)
-	// The estimate covers the depth range the exact engine would have
-	// explored: the full stream's address bits, which the filter observed
-	// kept or dropped, even if sampling dropped the highest-addressed
-	// block. runStackDist has already validated MaxDepth.
-	fullLevels, _ := levelCount(filter.AddrBits(), opts)
-	return rescaleStream(sampled, est, fullLevels), nil
-}
-
-// rescaleStream maps a stream-sampled Result to full-trace magnitude:
-// every histogram is rescaled through the estimator (stretch +
-// deconvolution/occupancy correction), levels the sampled trace was too
-// small to reach are padded with zero-conflict profiles, and N/NUnique
-// are restored to (or estimated at) their full-trace values. When the
-// rate degenerated to 1 the sampled result is already exact and passes
-// through untouched — the bit-identity the R=1 property test pins.
-func rescaleStream(sampled *Result, est *sampling.Estimate, fullLevels int) *Result {
-	est.RawHist = rawHists(sampled)
-
-	if est.Exact() {
-		sampled.Sample = est
-		return sampled
-	}
-
-	levels := len(sampled.Levels)
-	if fullLevels+1 > levels {
-		levels = fullLevels + 1
-	}
-	r := &Result{
-		Levels: make([]*LevelResult, levels),
-		N:      int(est.KeptRefs + est.DroppedRefs),
-		Sample: est,
-	}
-	if est.KnownUnique > 0 {
-		r.NUnique = est.KnownUnique
-	} else {
-		r.NUnique = int(math.Round(float64(est.KeptUnique) * est.Stretch))
-	}
-	for i := range r.Levels {
-		var hist []int
-		if i < len(sampled.Levels) {
-			hist = roundHist(est.RescaleHist(sampled.Levels[i].Hist))
-		}
-		r.Levels[i] = &LevelResult{Depth: 1 << uint(i), Hist: hist}
-	}
-	finalize(r)
-	return r
 }
 
 // rawHists snapshots a result's per-level histograms for the estimate.

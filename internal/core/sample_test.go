@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/example/cachedse/internal/sampling"
@@ -24,8 +26,7 @@ func zipfTrace(t *testing.T) *trace.Trace {
 // A rate-1 run, and a run whose rate the s_min floor raises to exact,
 // must be bit-identical to the exact engine, Hist[0] included. The small
 // strided trace's deep levels hold single-identifier rows — the levels
-// the exact engine answers without a pass — and the stream source takes
-// the thinning sampler's degenerate path.
+// the exact engine answers without a pass.
 func TestSampleRateOneBitIdentical(t *testing.T) {
 	strided := trace.New(0)
 	for rep := 0; rep < 30; rep++ {
@@ -50,25 +51,19 @@ func TestSampleRateOneBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sources := map[string]Source{"trace": c.tr}
-			if c.opts.SampleRate == 1 {
-				sources["stream"] = trace.RefReader(trace.NewReader(c.tr))
+			sampled, err := Explore(context.Background(), c.tr, c.opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for name, src := range sources {
-				sampled, err := Explore(context.Background(), src, c.opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if sampled.Sample == nil || !sampled.Sample.Exact() {
-					t.Fatalf("%s: estimate not exact: %+v", name, sampled.Sample)
-				}
-				if sampled.N != exact.N || sampled.NUnique != exact.NUnique {
-					t.Fatalf("%s: totals (%d, %d) differ from exact (%d, %d)",
-						name, sampled.N, sampled.NUnique, exact.N, exact.NUnique)
-				}
-				if !reflect.DeepEqual(sampled.Levels, exact.Levels) {
-					t.Fatalf("%s: levels are not bit-identical to the exact engine: %s", name, diffResults(exact, sampled))
-				}
+			if sampled.Sample == nil || !sampled.Sample.Exact() {
+				t.Fatalf("estimate not exact: %+v", sampled.Sample)
+			}
+			if sampled.N != exact.N || sampled.NUnique != exact.NUnique {
+				t.Fatalf("totals (%d, %d) differ from exact (%d, %d)",
+					sampled.N, sampled.NUnique, exact.N, exact.NUnique)
+			}
+			if !reflect.DeepEqual(sampled.Levels, exact.Levels) {
+				t.Fatalf("levels are not bit-identical to the exact engine: %s", diffResults(exact, sampled))
 			}
 		})
 	}
@@ -151,60 +146,31 @@ func TestSampledTotalsConvergeMonotone(t *testing.T) {
 	}
 }
 
-func TestSampledDualModes(t *testing.T) {
-	// The two source shapes select the two estimator modes: an in-memory
-	// trace gets the exact-distance postlude sampler, a blind stream gets
-	// the thinning filter. Both must restore full-trace magnitude; the
-	// stream mode trades accuracy for its memory bound, so its tolerance
-	// is looser.
-	tr := zipfTrace(t)
-	exact, err := Explore(context.Background(), tr, Options{MaxDepth: 128})
-	if err != nil {
+// A reference stream is not a Source: every LRU entry point, exact or
+// sampled, rejects it with an error naming its type.
+func TestExploreRejectsRefReader(t *testing.T) {
+	var packed bytes.Buffer
+	if err := trace.WriteCTZ1(&packed, tracegen.Loop(0, 16, 8)); err != nil {
 		t.Fatal(err)
 	}
-	exactMisses := exact.Levels[0].Misses(1)
-
-	fromTrace, err := Explore(context.Background(), tr, Options{MaxDepth: 128, SampleRate: 0.2, SampleFloor: -1})
-	if err != nil {
-		t.Fatal(err)
+	engines := []struct {
+		name   string
+		engine func(context.Context, Source, Options) (*Result, error)
+		opts   Options
+	}{
+		{"exact", Explore, Options{}},
+		{"sampled", Explore, Options{SampleRate: 0.5}},
+		{"analytical", ExploreAnalytical, Options{}},
 	}
-	if fromTrace.Sample.Mode != sampling.ModePostlude {
-		t.Errorf("trace source mode = %q, want %q", fromTrace.Sample.Mode, sampling.ModePostlude)
-	}
-	if fromTrace.Sample.KnownUnique != exact.NUnique {
-		t.Errorf("trace source KnownUnique = %d, want %d", fromTrace.Sample.KnownUnique, exact.NUnique)
-	}
-	if fromTrace.Sample.Stretch != 1 {
-		t.Errorf("postlude mode stretch = %v, want 1 (distances are exact)", fromTrace.Sample.Stretch)
-	}
-	if rel := math.Abs(float64(fromTrace.Levels[0].Misses(1)-exactMisses)) / float64(exactMisses); rel > 0.05 {
-		t.Errorf("postlude-sampled depth-1 misses off by %.3f (>5%%)", rel)
-	}
-
-	fromReader, err := Explore(context.Background(), trace.RefReader(trace.NewReader(tr)),
-		Options{MaxDepth: 128, SampleRate: 0.2, SampleFloor: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fromReader.Sample.Mode != sampling.ModeStream {
-		t.Errorf("stream source mode = %q, want %q", fromReader.Sample.Mode, sampling.ModeStream)
-	}
-	if fromReader.Sample.KnownUnique != 0 {
-		t.Errorf("stream source claims KnownUnique = %d", fromReader.Sample.KnownUnique)
-	}
-	if fromReader.N != tr.Len() {
-		t.Errorf("stream source N = %d, want %d", fromReader.N, tr.Len())
-	}
-	if rel := math.Abs(float64(fromReader.Levels[0].Misses(1)-exactMisses)) / float64(exactMisses); rel > 0.25 {
-		t.Errorf("stream-sampled depth-1 misses off by %.3f (>25%%)", rel)
-	}
-	// Both modes draw the same spatial sample, so the stream's kept total
-	// can't exceed the postlude plan's non-certainty stratum plus its
-	// certainty refs.
-	if fromReader.Sample.KeptRefs+fromReader.Sample.DroppedRefs != fromTrace.Sample.KeptRefs+fromTrace.Sample.DroppedRefs {
-		t.Errorf("modes disagree on trace length: %d vs %d",
-			fromReader.Sample.KeptRefs+fromReader.Sample.DroppedRefs,
-			fromTrace.Sample.KeptRefs+fromTrace.Sample.DroppedRefs)
+	for _, e := range engines {
+		dec, err := trace.NewCTZ1Decoder(bytes.NewReader(packed.Bytes()), trace.Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = e.engine(context.Background(), dec, e.opts)
+		if err == nil || !strings.Contains(err.Error(), "unsupported Source type *trace.CTZ1Decoder") {
+			t.Errorf("%s: err = %v, want an unsupported Source type error", e.name, err)
+		}
 	}
 }
 
@@ -236,40 +202,33 @@ func TestSampledExactModeUntouched(t *testing.T) {
 	}
 }
 
-// Every sampled reference lands in exactly one bucket of its stratum's
-// raw histogram at every explored depth, Hist[0] included: in stream mode
-// Σ_d RawHist[l][d] = N_s − N'_s, the sampled trace's re-occurrences, and
-// in postlude mode the raw and certainty histograms together hold the
-// kept identifiers' re-occurrences.
+// Every kept reference lands in exactly one bucket of its stratum's
+// histogram at every explored depth, Hist[0] included: the raw and
+// certainty histograms together hold the kept identifiers'
+// re-occurrences.
 func TestSampledRawHistsConserveMass(t *testing.T) {
 	tr := tracegen.Zipf(rand.New(rand.NewSource(5)), 0x1000, 3000, 30000, 1.1)
-	opts := Options{SampleRate: 0.2, SampleFloor: -1}
-	for name, src := range map[string]Source{
-		"stream":   trace.RefReader(trace.NewReader(tr)),
-		"postlude": tr,
-	} {
-		res, err := Explore(context.Background(), src, opts)
-		if err != nil {
-			t.Fatal(err)
+	res, err := Explore(context.Background(), tr, Options{SampleRate: 0.2, SampleFloor: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	est := res.Sample
+	if est.Exact() || len(est.RawHist) == 0 {
+		t.Fatalf("the run was not sampled: %+v", est)
+	}
+	want := int(est.KeptRefs) - est.KeptUnique
+	for l, raw := range est.RawHist {
+		mass := 0
+		for _, c := range raw {
+			mass += c
 		}
-		est := res.Sample
-		if est.Exact() || len(est.RawHist) == 0 {
-			t.Fatalf("%s: the run was not sampled: %+v", name, est)
-		}
-		want := int(est.KeptRefs) - est.KeptUnique
-		for l, raw := range est.RawHist {
-			mass := 0
-			for _, c := range raw {
+		if l < len(est.CertHist) {
+			for _, c := range est.CertHist[l] {
 				mass += c
 			}
-			if l < len(est.CertHist) {
-				for _, c := range est.CertHist[l] {
-					mass += c
-				}
-			}
-			if mass != want {
-				t.Errorf("%s: depth %d holds %d sampled re-occurrences, want KeptRefs − KeptUnique = %d", name, 1<<l, mass, want)
-			}
+		}
+		if mass != want {
+			t.Errorf("depth %d holds %d kept re-occurrences, want KeptRefs − KeptUnique = %d", 1<<l, mass, want)
 		}
 	}
 }

@@ -35,8 +35,8 @@ type Scratch struct {
 	// sizing the pool class it returns to.
 	hint int
 
-	// stripped is the pooled strip output for *trace.Trace and RefReader
-	// sources (Prelude sources carry their own caller-owned Stripped).
+	// stripped is the pooled strip output for *trace.Trace sources
+	// (Prelude sources carry their own caller-owned Stripped).
 	stripped trace.Stripped
 
 	// mrct is the pooled conflict table, rebuilt in place per exploration.
@@ -190,7 +190,8 @@ func (p *ScratchPool) Put(sc *Scratch) {
 var sharedScratch ScratchPool
 
 // scratchHint sizes the pool request for a source before the prelude has
-// run: in-memory traces know their length, streams do not.
+// run: an in-memory trace's length; 0 for a Prelude, whose stripped form
+// the caller owns.
 func scratchHint(src Source) int {
 	if t, ok := src.(*trace.Trace); ok && t != nil {
 		return t.Len()

@@ -51,28 +51,6 @@ func TestAllocsSteadyStateExplore(t *testing.T) {
 	}
 }
 
-// Streaming explores carry no length hint; they must still converge onto
-// warm scratch rather than re-growing a fresh Scratch every call.
-func TestAllocsSteadyStateExploreStream(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are meaningless under the race detector")
-	}
-	tr := scratchTestTrace(11, 20000, 300)
-	run := func() {
-		if _, err := Explore(context.Background(), trace.RefReader(trace.NewReader(tr)), Options{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run()
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	allocs := testing.AllocsPerRun(10, run)
-	// The stream path additionally allocates its reader adapter per run.
-	const maxAllocs = 250
-	if allocs > maxAllocs {
-		t.Fatalf("steady-state streaming Explore allocates %.0f objects/op, want <= %d", allocs, maxAllocs)
-	}
-}
-
 // Warm pooled runs must be bit-identical to the cold first run and to the
 // materialised-BCAT reference: reused arenas and freelists may never leak
 // state between explorations. Both engines draw on the pool.
@@ -162,28 +140,44 @@ func TestScratchPoolConcurrentChurn(t *testing.T) {
 	}
 }
 
-// The pool serves hint-less requests (streaming sources) from whatever
+// The pool serves hint-less requests (Prelude sources) from whatever
 // warm scratch exists and files returns under the largest dimension the
-// scratch has served, so alternating sized and streaming explorations
+// scratch has served, so alternating sized and hint-less explorations
 // share one scratch instead of ping-ponging two.
+//
+// Under the race detector sync.Pool drops a quarter of Puts at random.
+// Each check therefore runs as a round trip — Put, the routed Get, then
+// a hint-0 Get that shows whether the Put was kept — and only a round
+// trip whose Put was dropped is retried.
 func TestScratchPoolHintRouting(t *testing.T) {
 	var p ScratchPool
 	sc := p.Get(100_000)
 	sc.note(100_000)
-	p.Put(sc)
-	if got := p.Get(0); got != sc {
+	// roundTrip files sc, runs get, and reports what get returned once a
+	// round trip kept sc in the pool.
+	roundTrip := func(get func() *Scratch) *Scratch {
+		for try := 0; try < 50; try++ {
+			p.Put(sc)
+			got := get()
+			if got == sc {
+				return got
+			}
+			if p.Get(0) == sc {
+				return got // sc was pooled: get routed past it
+			}
+		}
+		t.Fatal("no round trip kept the scratch in the pool")
+		return nil
+	}
+	if got := roundTrip(func() *Scratch { return p.Get(0) }); got != sc {
 		t.Fatal("hint-0 Get did not find the warm scratch")
 	}
-	p.Put(sc)
-	if got := p.Get(50_000); got != sc {
+	if got := roundTrip(func() *Scratch { return p.Get(50_000) }); got != sc {
 		t.Fatal("smaller-hint Get did not find the larger warm scratch")
 	}
-	p.Put(sc)
-	// A scratch that only ever served small jobs is not handed to a
-	// much larger request's class... but larger requests scan upward from
-	// their own class, so a small scratch is simply not found.
-	small := p.Get(1 << 30)
-	if small == sc {
+	// Larger requests scan upward from their own class, so a scratch that
+	// only ever served smaller jobs is not handed to a much larger one.
+	if got := roundTrip(func() *Scratch { return p.Get(1 << 30) }); got == sc {
 		t.Fatal("warm scratch from a lower class served a much larger hint")
 	}
 }

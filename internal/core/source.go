@@ -8,15 +8,15 @@ import (
 	"github.com/example/cachedse/internal/trace"
 )
 
-// Source is the input to Explore and ExploreAnalytical. Three shapes are
+// Source is the input to Explore and ExploreAnalytical. Two shapes are
 // accepted:
 //
-//	*trace.Trace     — an in-memory trace; the engine strips it
-//	Prelude          — pre-built prelude structures, for reuse across
-//	                   repeated explorations of the same trace
-//	trace.RefReader  — a reference stream; the strip pass consumes it
-//	                   without materialising a *trace.Trace (ctz1 files
-//	                   flow from disk holding one decoder block at a time)
+//	*trace.Trace  — an in-memory trace; the engine strips it
+//	Prelude       — pre-built prelude structures, for reuse across
+//	                repeated explorations of the same trace
+//
+// Any other value, a trace.RefReader included, fails with an
+// "unsupported Source type" error.
 //
 // It is deliberately `any` rather than a method interface: *trace.Trace
 // lives below core in the import graph and cannot implement a core-defined
@@ -53,18 +53,10 @@ func stripSource(ctx context.Context, src Source, sc *Scratch) (*trace.Stripped,
 			return nil, fmt.Errorf("core: Prelude has no Stripped trace")
 		}
 		return v.Stripped, nil
-	case trace.RefReader:
-		if v == nil {
-			return nil, fmt.Errorf("core: Explore given a nil trace.RefReader")
-		}
-		if err := faultinject.Hit("core.strip"); err != nil {
-			return nil, err
-		}
-		return stripReaderWithSpan(ctx, v, sc)
 	case nil:
 		return nil, fmt.Errorf("core: Explore given a nil Source")
 	default:
-		return nil, fmt.Errorf("core: unsupported Source type %T (want *trace.Trace, core.Prelude, or trace.RefReader)", src)
+		return nil, fmt.Errorf("core: unsupported Source type %T (want *trace.Trace or core.Prelude)", src)
 	}
 }
 

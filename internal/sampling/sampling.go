@@ -1,21 +1,19 @@
 // Package sampling implements SHARDS-style spatial hash sampling for the
-// analytical exploration engine: a fixed-rate filter that keeps a
-// reference iff a 64-bit mix of its block address falls under a threshold
-// T = R·2^64, plus the estimator that rescales the sampled engine's
-// per-depth conflict histograms back to full-trace miss counts with a
-// quantified standard error.
+// analytical exploration engine: a stratum plan that keeps an address iff
+// a 64-bit mix of it falls under a threshold T = R·2^64 (heavy addresses
+// are kept with certainty), plus the estimator that rescales the kept
+// addresses' per-depth stack-distance histograms back to full-trace miss
+// counts with a quantified standard error.
 //
 // Spatial (address-hash) sampling is the key property: either every
-// occurrence of an address is kept or none is, so the kept sub-trace
-// preserves reuse structure — each cache row of the sampled trace is the
-// rate-R thinning of the corresponding full-trace row, conflict-set
-// cardinalities shrink by the same factor, and total occurrence mass
-// shrinks by ~R. The estimator inverts both effects (distance stretch and
-// occurrence scale) and applies the SHARDS-adj correction: scales are
-// calibrated against the measured kept/dropped totals rather than the
-// nominal rate, which removes the systematic bias of the fixed-rate
-// estimator on small samples (Waldspurger et al., "Efficient MRC
-// Construction with SHARDS", FAST'15; see PAPERS.md survey).
+// occurrence of an address is counted or none is. The engine still moves
+// every reference through its stacks, so each counted distance is exact
+// and only occurrence mass shrinks by ~R. The estimator scales it back
+// with the SHARDS-adj correction: the scale is calibrated against the
+// measured kept/dropped totals rather than the nominal rate, which
+// removes the systematic bias of the fixed-rate estimator on small
+// samples (Waldspurger et al., "Efficient MRC Construction with SHARDS",
+// FAST'15; see PAPERS.md survey).
 //
 // Because hash thresholds nest (T(R1) <= T(R2) for R1 <= R2 under the
 // same seed), the kept address set at a lower rate is always a subset of
@@ -27,13 +25,11 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"github.com/example/cachedse/internal/trace"
 )
 
-// DefaultSeed is the hash seed used when a Config leaves Seed zero. Any
-// fixed value works; sharing one default keeps CLI, server and tests
-// deterministic and lets result caches key on the rate alone.
+// DefaultSeed is the address hash's seed. Any fixed value works; one
+// seed keeps CLI, server and tests deterministic and lets result caches
+// key on the rate alone.
 const DefaultSeed = 0x9e3779b97f4a7c15
 
 // DefaultMinUnique is the default floor on the expected number of sampled
@@ -63,9 +59,6 @@ type Config struct {
 	// Rate is the requested spatial sampling rate in (0, 1]. 1 keeps
 	// every reference (the sampled path degenerates to the exact engine).
 	Rate float64
-	// Seed perturbs the address hash; zero uses DefaultSeed. Distinct
-	// seeds draw independent samples of the same trace.
-	Seed uint64
 	// MinUnique floors the expected sampled unique-reference count: when
 	// Rate·N' < MinUnique the effective rate rises to MinUnique/N'
 	// (clamped to 1). Zero uses DefaultMinUnique; negative disables the
@@ -89,14 +82,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// SeedValue resolves the zero-means-default seed.
-func (c Config) SeedValue() uint64 {
-	if c.Seed == 0 {
-		return DefaultSeed
-	}
-	return c.Seed
-}
-
 // FloorValue resolves the zero-means-default unique floor; negative
 // disables it (returns 0).
 func (c Config) FloorValue() int {
@@ -109,8 +94,8 @@ func (c Config) FloorValue() int {
 	return c.MinUnique
 }
 
-// EffectiveRate resolves the rate actually used given the trace's known
-// unique-reference count (0 when unknown, e.g. on a pure stream): the
+// EffectiveRate resolves the rate actually used given the trace's
+// unique-reference count (0 when unknown): the
 // requested rate raised to meet the MinUnique floor, clamped to 1.
 func (c Config) EffectiveRate(knownUnique int) float64 {
 	r := c.Rate
@@ -188,8 +173,8 @@ func PlanStrata(mass []int, target float64) (cert []bool, rate float64) {
 }
 
 // Threshold converts a rate to the 64-bit keep threshold T = R·2^64. A
-// hash is kept when hash < T; rate 1 is handled by the callers' keep-all
-// fast path (a threshold cannot represent 2^64).
+// hash is kept when hash < T; rate 1 maps to the largest threshold (one
+// cannot represent 2^64), and callers plan rate-1 runs as exact.
 func Threshold(rate float64) uint64 {
 	if rate >= 1 {
 		return math.MaxUint64
@@ -215,74 +200,7 @@ func splitmix64(x uint64) uint64 {
 }
 
 // Keep reports whether addr falls in the sample at the given threshold
-// and seed. Exported so tests and tools can predict a filter's decisions.
+// and seed.
 func Keep(addr uint32, seed, threshold uint64) bool {
 	return splitmix64(uint64(addr)^seed) < threshold
 }
-
-// Filter is a trace.RefReader that passes through only the references
-// whose address hashes under the threshold, counting what it kept and
-// dropped. It is the streaming plug between a raw reference source and
-// the engine's strip phase: one decoder block and O(1) filter state are
-// all that is ever resident.
-type Filter struct {
-	rr        trace.RefReader
-	seed      uint64
-	threshold uint64
-	keepAll   bool
-	kept      int64
-	dropped   int64
-	maxAddr   uint32
-}
-
-// NewFilter wraps rr with a spatial sampler at the given rate and seed
-// (zero seed uses DefaultSeed).
-func NewFilter(rr trace.RefReader, rate float64, seed uint64) *Filter {
-	if seed == 0 {
-		seed = DefaultSeed
-	}
-	return &Filter{
-		rr:        rr,
-		seed:      seed,
-		threshold: Threshold(rate),
-		keepAll:   rate >= 1,
-	}
-}
-
-// Next implements trace.RefReader: it consumes the wrapped stream until a
-// kept reference (or the stream's end) surfaces.
-func (f *Filter) Next() (trace.Ref, error) {
-	for {
-		r, err := f.rr.Next()
-		if err != nil {
-			return r, err
-		}
-		if r.Addr > f.maxAddr {
-			f.maxAddr = r.Addr
-		}
-		if f.keepAll || splitmix64(uint64(r.Addr)^f.seed) < f.threshold {
-			f.kept++
-			return r, nil
-		}
-		f.dropped++
-	}
-}
-
-// AddrBits returns the number of significant address bits over every
-// reference seen so far — kept or dropped — matching the convention of
-// trace.Stripped.AddrBits. The sampled engine uses it to size the
-// full-trace depth range even when sampling happened to drop the
-// highest-addressed block.
-func (f *Filter) AddrBits() int {
-	bits := 0
-	for a := f.maxAddr; a != 0; a >>= 1 {
-		bits++
-	}
-	return bits
-}
-
-// Kept returns how many references passed the filter so far.
-func (f *Filter) Kept() int64 { return f.kept }
-
-// Dropped returns how many references the filter discarded so far.
-func (f *Filter) Dropped() int64 { return f.dropped }

@@ -2,11 +2,9 @@ package sampling
 
 import (
 	"errors"
-	"io"
 	"math"
+	"reflect"
 	"testing"
-
-	"github.com/example/cachedse/internal/trace"
 )
 
 func TestThresholdRange(t *testing.T) {
@@ -101,76 +99,14 @@ func TestEffectiveRateFloor(t *testing.T) {
 	}
 }
 
-func TestFilterCountsAndSpatialConsistency(t *testing.T) {
-	// Build a trace where each address appears 3 times; spatial sampling
-	// must keep all 3 occurrences or none.
-	var addrs []uint32
-	for a := uint32(0); a < 1000; a++ {
-		addrs = append(addrs, a, a, a)
-	}
-	tr := trace.FromAddrs(trace.DataRead, addrs)
-	f := NewFilter(trace.NewReader(tr), 0.3, 0)
-	perAddr := map[uint32]int{}
-	for {
-		r, err := f.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		perAddr[r.Addr]++
-	}
-	for a, n := range perAddr {
-		if n != 3 {
-			t.Fatalf("addr %d kept %d of 3 occurrences; spatial sampling must be all-or-nothing", a, n)
-		}
-	}
-	if got := f.Kept() + f.Dropped(); got != int64(len(addrs)) {
-		t.Errorf("kept+dropped = %d, want %d", got, len(addrs))
-	}
-	if f.Kept() != int64(3*len(perAddr)) {
-		t.Errorf("Kept() = %d, want %d", f.Kept(), 3*len(perAddr))
-	}
-	th := Threshold(0.3)
-	for a := uint32(0); a < 1000; a++ {
-		_, sampled := perAddr[a]
-		if sampled != Keep(a, DefaultSeed, th) {
-			t.Fatalf("addr %d: filter and Keep disagree", a)
-		}
-	}
-}
-
-func TestFilterKeepAllAndAddrBits(t *testing.T) {
-	tr := trace.FromAddrs(trace.DataRead, []uint32{1, 9, 5, 9})
-	f := NewFilter(trace.NewReader(tr), 1.0, 0)
-	n := 0
-	for {
-		_, err := f.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		n++
-	}
-	if n != 4 || f.Dropped() != 0 {
-		t.Fatalf("rate 1.0 kept %d dropped %d, want 4/0", n, f.Dropped())
-	}
-	if got := f.AddrBits(); got != 4 { // max addr 9 = 0b1001
-		t.Errorf("AddrBits() = %d, want 4", got)
-	}
-}
-
 func TestEstimateExactIdentity(t *testing.T) {
 	e := &Estimate{RequestedRate: 1, EffectiveRate: 1, KeptRefs: 100, DroppedRefs: 0, KnownUnique: 10}
-	e.Calibrate(100, 10)
+	e.CalibratePostlude(0, 90)
 	if !e.Exact() {
 		t.Fatalf("rate-1 estimate not Exact: %+v", e)
 	}
-	if e.Scale != 1 || e.Stretch != 1 {
-		t.Errorf("exact estimate scale=%v stretch=%v, want 1/1", e.Scale, e.Stretch)
+	if e.Scale != 1 {
+		t.Errorf("exact estimate scale=%v, want 1", e.Scale)
 	}
 	e.RawHist = [][]int{{0, 50, 30}}
 	if se := e.SE(0, 1); se != 0 {
@@ -182,60 +118,62 @@ func TestEstimateExactIdentity(t *testing.T) {
 }
 
 func TestEstimateCalibrateSHARDSAdj(t *testing.T) {
-	// N = 1000, N' = 100; sampled kept 110 refs over 11 uniques at an
-	// effective rate of 0.1. SHARDS-adj scale = (1000-100)/(110-11) and
-	// stretch = 100/11 — measured ratios, not the nominal 10x.
-	e := &Estimate{RequestedRate: 0.1, EffectiveRate: 0.1, KeptRefs: 110, DroppedRefs: 890, KnownUnique: 100}
-	e.Calibrate(110, 11)
-	if want := 900.0 / 99.0; math.Abs(e.Scale-want) > 1e-12 {
-		t.Errorf("Scale = %v, want %v", e.Scale, want)
+	// N = 1000, N' = 100; the certainty stratum holds 300 non-cold
+	// occurrences and the kept sampled stratum 60, at an effective rate
+	// of 0.1. SHARDS-adj scale = (1000-100-300)/60 = 10 — the stratum's
+	// measured true mass over its kept mass, not the nominal 10x.
+	e := &Estimate{RequestedRate: 0.1, EffectiveRate: 0.1, KeptRefs: 400, DroppedRefs: 600, KnownUnique: 100}
+	e.CalibratePostlude(300, 60)
+	if e.Mode != ModePostlude {
+		t.Errorf("Mode = %q, want %q", e.Mode, ModePostlude)
 	}
-	if want := 100.0 / 11.0; math.Abs(e.Stretch-want) > 1e-12 {
-		t.Errorf("Stretch = %v, want %v", e.Stretch, want)
+	if want := 600.0 / 60.0; math.Abs(e.Scale-want) > 1e-12 {
+		t.Errorf("Scale = %v, want %v", e.Scale, want)
 	}
 	if e.Exact() {
 		t.Error("sampled estimate reports Exact")
 	}
+	// Without a measured kept mass the nominal rate is all there is.
+	e.CalibratePostlude(300, 0)
+	if e.Scale != 10 {
+		t.Errorf("uncalibrated Scale = %v, want 1/rate = 10", e.Scale)
+	}
 }
 
-func TestEstimateStretchAndSE(t *testing.T) {
-	e := &Estimate{EffectiveRate: 0.5, KeptRefs: 500, DroppedRefs: 500, KnownUnique: 20}
-	e.Calibrate(500, 10) // stretch 2, scale (1000-20)/(500-10) = 2
-	if e.StretchIndex(0) != 0 {
-		t.Error("StretchIndex(0) must stay 0")
+func TestEstimateRescaleAndSE(t *testing.T) {
+	e := &Estimate{Scale: 2, RawHist: [][]int{{40, 25, 10, 0}}, CertHist: [][]int{{1, 0, 0, 0, 3}}}
+	// The sampled histogram is trimmed to its last non-zero bin and
+	// scaled; the certainty stratum's bins enter unscaled.
+	if got, want := e.RescaleHist(e.RawHist[0]), []float64{80, 50, 20}; !reflect.DeepEqual(got, want) {
+		t.Errorf("RescaleHist = %v, want %v", got, want)
 	}
-	if got := e.StretchIndex(3); got != 6 {
-		t.Errorf("StretchIndex(3) = %d, want 6", got)
+	if got, want := e.RescaleHist([]int{0, 0}), []float64{0}; !reflect.DeepEqual(got, want) {
+		t.Errorf("RescaleHist of an empty level = %v, want %v", got, want)
 	}
-	e.RawHist = [][]int{{40, 25, 10}}
-	// Bins stretch to {0, 2, 4}: assoc 1 sees sampled mass 35, assoc 3
-	// only the d=2 bin (10).
-	if got := e.SampledMisses(0, 1); got != 35 {
-		t.Errorf("SampledMisses(0,1) = %d, want 35", got)
+	if got, want := e.RescaleLevel(0), []float64{81, 50, 20, 0, 3}; !reflect.DeepEqual(got, want) {
+		t.Errorf("RescaleLevel = %v, want %v", got, want)
 	}
-	if got := e.SampledMisses(0, 3); got != 10 {
-		t.Errorf("SampledMisses(0,3) = %d, want 10", got)
+	// Each kept occurrence at or above assoc is a Horvitz-Thompson draw
+	// of weight 2: assoc 1 sees 35 of them, assoc 2 only the 10.
+	if got, want := e.SE(0, 1), math.Sqrt(35*2*1); math.Abs(got-want) > 1e-9 {
+		t.Errorf("SE(0,1) = %v, want %v", got, want)
 	}
-	// Per-bin Horvitz-Thompson variance: bin k=1 (d̂=2) carries weight
-	// w=2/(1−0.5²), bin k=2 (d̂=4) w=2/(1−0.5⁴).
-	w1, w2 := e.BinWeight(1), e.BinWeight(2)
-	wantSE := math.Sqrt(25*w1*(w1-1) + 10*w2*(w2-1))
-	if got := e.SE(0, 1); math.Abs(got-wantSE) > 1e-9 {
-		t.Errorf("SE(0,1) = %v, want %v", got, wantSE)
+	if got, want := e.SE(0, 2), math.Sqrt(10*2*1); math.Abs(got-want) > 1e-9 {
+		t.Errorf("SE(0,2) = %v, want %v", got, want)
 	}
 	lo, hi := e.CI95(0, 1, 70)
 	if lo >= hi || lo < 0 || lo > 70 || hi < 70 {
 		t.Errorf("CI95 = [%d, %d] does not bracket 70", lo, hi)
 	}
 	// Tiny estimates clamp at zero rather than going negative.
-	if lo, _ := e.CI95(0, 3, 1); lo != 0 {
+	if lo, _ := e.CI95(0, 2, 1); lo != 0 {
 		t.Errorf("clamped CI lo = %d, want 0", lo)
 	}
 }
 
 func TestEstimateCIWidthShrinksWithScale(t *testing.T) {
 	width := func(scale float64) int {
-		e := &Estimate{Scale: scale, Stretch: 1, RawHist: [][]int{{0, 1000}}}
+		e := &Estimate{Scale: scale, RawHist: [][]int{{0, 1000}}}
 		lo, hi := e.CI95(0, 1, int(scale*1000))
 		return hi - lo
 	}

@@ -91,12 +91,14 @@ func NewTraceStore(max int) *TraceStore {
 // returning its entry and whether it was already present (uploads are
 // idempotent by content). Callers pass the digest in because they have
 // usually computed it already, and hashing is a full pass over the trace.
+//
+// A new trace's statistics and kind are full passes too, so they run
+// outside the store lock: a large upload does not stall other lookups.
+// Concurrent Adds of one new digest may each scan it; the first insert
+// wins and every later caller gets its entry with existed = true.
 func (s *TraceStore) Add(digest string, t *trace.Trace) (entry *TraceEntry, existed bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.byDigest[digest]; ok {
-		s.ll.MoveToFront(el)
-		return el.Value.(*TraceEntry), true
+	if e, ok := s.Get(digest); ok {
+		return e, true
 	}
 	entry = &TraceEntry{
 		Digest:   digest,
@@ -104,6 +106,12 @@ func (s *TraceStore) Add(digest string, t *trace.Trace) (entry *TraceEntry, exis
 		Stats:    trace.ComputeStats(t),
 		Kind:     classifyTrace(t),
 		Uploaded: time.Now(),
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if el, ok := s.byDigest[digest]; ok {
+		s.ll.MoveToFront(el)
+		return el.Value.(*TraceEntry), true
 	}
 	s.byDigest[digest] = s.ll.PushFront(entry)
 	if s.ll.Len() > s.max {

@@ -254,8 +254,7 @@ func WriteCTZ1(w io.Writer, t *Trace) error {
 
 // CTZ1Decoder streams references out of a ctz1 stream block by block,
 // verifying each block's checksum before yielding anything from it. It
-// implements RefReader, so it plugs straight into the streaming prelude
-// (StripReader) without a *Trace in between.
+// implements RefReader; readAll drains it into a trace.
 type CTZ1Decoder struct {
 	br  *bufio.Reader
 	lim Limits
@@ -582,6 +581,13 @@ func ReadCTZ1Limits(r io.Reader, lim Limits) (*Trace, error) {
 		return nil, err
 	}
 	return readAll(d)
+}
+
+// RefReader is a decoder's source of references: Next returns one
+// reference at a time and io.EOF after the last. CTZ1Decoder and the din
+// text decoder implement it.
+type RefReader interface {
+	Next() (Ref, error)
 }
 
 // readAll drains a RefReader into a trace. The references accumulate in

@@ -231,11 +231,6 @@ func TestStripIntoReuseAfterLarger(t *testing.T) {
 		}
 		checkStrip(t, got, tr, []uint32{0, 1, 2, 100, 4999, 49999, 50000, 50002})
 	}
-	rs, err := StripReaderInto(NewReader(large), &s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkStrip(t, rs, large, nil)
 }
 
 // Strip and ComputeStats equal the map-based reference on random traces

@@ -31,7 +31,7 @@ func Strip(t *Trace) *Stripped {
 	return StripInto(t, nil)
 }
 
-// StripInto is Strip writing into a reusable Stripped: s is Reset and its
+// StripInto is Strip writing into a reusable Stripped: s is emptied and its
 // identifier/unique/index storage reused, so a pooled caller strips trace
 // after trace without allocating once the buffers have grown to the
 // workload's size. A nil s allocates a fresh one (StripInto(t, nil) is
@@ -51,12 +51,9 @@ func StripInto(t *Trace, s *Stripped) *Stripped {
 	return s
 }
 
-// Reset empties the stripped form for reuse, keeping the capacity of the
-// identifier sequence, the unique-address table and the index.
-func (s *Stripped) Reset() { s.reset(-1) }
-
-// reset is Reset for a trace of at most n references (negative when
-// unknown), which bounds the index table the strip can need.
+// reset empties the stripped form for a trace of n references, keeping
+// the capacity of the identifier sequence, the unique-address table and
+// the index; n bounds the index table the strip can need.
 func (s *Stripped) reset(n int) {
 	s.Unique = s.Unique[:0]
 	s.IDs = s.IDs[:0]

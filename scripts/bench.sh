@@ -60,17 +60,19 @@ while [ $# -gt 0 ]; do
 done
 
 benchtime=${BENCHTIME:-3x}
-pattern=${PATTERN:-'^(BenchmarkTable31|BenchmarkTable32|BenchmarkFigure4|BenchmarkSampledExplore|BenchmarkAblationMRCTBuild|BenchmarkAblationStackDistVsAnalytical|BenchmarkMicroIntersect|BenchmarkMicroMRCTDedup|BenchmarkIngest)$'}
+pattern=${PATTERN:-'^(BenchmarkTable31|BenchmarkTable32|BenchmarkFigure4|BenchmarkSampledExplore|BenchmarkSampledAccuracy|BenchmarkAblationMRCTBuild|BenchmarkAblationStackDistVsAnalytical|BenchmarkMicroIntersect|BenchmarkMicroMRCTDedup|BenchmarkIngest)$'}
 
 raw="$out.txt"
 go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -count "$count" -benchmem . | tee "$raw"
 
 # Each result line carries value/unit pairs: ns/op always, B/op and
-# allocs/op from -benchmem, and the GC panel metrics (gcs/op,
-# gc-pause-ns/op) emitted by measureGC in bench_test.go. The JSON keeps
-# every ns/op sample plus its minimum, and the per-op minimum of each GC
-# panel metric (minimum, as for ns/op, being the most reproducible point
-# statistic on a noisy machine).
+# allocs/op from -benchmem, the GC panel metrics (gcs/op,
+# gc-pause-ns/op) emitted by measureGC in bench_test.go, and the
+# accuracy metrics of BenchmarkSampledAccuracy. The JSON keeps every
+# ns/op sample plus its minimum, the per-op minimum of each GC panel
+# metric (minimum, as for ns/op, being the most reproducible point
+# statistic on a noisy machine), and the last value of each accuracy
+# metric (deterministic: the benchmark's seeds are fixed).
 awk -v benchtime="$benchtime" -v count="$count" -v pattern="$pattern" '
 function noteMin(tab, name, v) {
   if (!((name) in tab) || v + 0 < tab[name] + 0) tab[name] = v
@@ -100,6 +102,10 @@ $1 ~ /^Benchmark/ && $3 ~ /^[0-9]/ {
     else if (unit == "allocs/op")         noteMin(allocs, name, v)
     else if (unit == "gcs/op")            noteMin(gcs, name, v)
     else if (unit == "gc-pause-ns/op")    noteMin(gcpause, name, v)
+    else if (unit ~ /^(median-rel-err|p90-rel-err|ci95-coverage|cells)$/) {
+      if (!((name, unit) in acc)) accunits[name] = accunits[name] " " unit
+      acc[name, unit] = v
+    }
   }
 }
 END {
@@ -121,6 +127,8 @@ END {
     if (name in allocs)  printf ", \"allocs_per_op\": %s", allocs[name]
     if (name in gcs)     printf ", \"gcs_per_op\": %s", gcs[name]
     if (name in gcpause) printf ", \"gc_pause_ns_per_op\": %s", gcpause[name]
+    nacc = split(accunits[name], units, " ")
+    for (u = 1; u <= nacc; u++) printf ", \"%s\": %s", units[u], acc[name, units[u]]
     printf "}%s\n", (i < n ? "," : "")
   }
   printf "  }\n}\n"
